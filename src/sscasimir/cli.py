@@ -1,31 +1,39 @@
 """Command-line front end: validated run configs, sweeps, CSV/JSON tables.
 
-One logical entry point (main) dispatching eight subcommands onto the
-series/plates/gaussian modules.  Config files mirror the flags one-to-one
-(JSON object keyed by flag names); explicit flags override file values and
-unknown keys are rejected.  Sweeps never abort on a failing grid point:
-the row is kept, in order, with an error field, and the exit code is 0 for
-full or partial success, 1 for usage or I/O problems, 2 when every point
-failed.
+One logical entry point (main) over the series/plates/gaussian modules.
+Each subcommand is one `Command` record in the `COMMANDS` table: its
+parameters (name, one parse-and-check function, a default or REQUIRED,
+help text), an optional cross-field check, the base and computed fields of
+its row, an optional sweep, and its CSV header.  The argparse options, the
+config-file key check, validation, dispatch and CSV rendering all read it.
+Config files mirror the flags one-to-one (JSON object keyed by flag names);
+explicit flags override file values and unknown keys are rejected.  A row
+whose computation fails (ValueError, ArithmeticError, a quadrature that
+does not converge) keeps its base fields and gets an error field, so a
+sweep never aborts on one bad point; the exit code is 0 for full or partial
+success, 1 for usage or I/O problems, 2 when every point failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import gaussian, plates, series
 from .quadrature import QuadratureConvergenceError
 
-__all__ = ["UsageError", "RunConfig", "SweepSpec", "ResultSet",
-           "parse_config", "execute", "render", "main"]
+__all__ = ["UsageError", "RunConfig", "SweepSpec", "ResultSet", "Param", "Command",
+           "COMMANDS", "parse_config", "execute", "render", "main"]
 
 
 class UsageError(Exception):
@@ -41,31 +49,23 @@ class RunConfig:
 
     def to_config_json(self) -> dict:
         """Flat config-file form (flag names as keys), re-parseable."""
-        out = dict(self.parameters)
-        out["out"] = self.output
-        out["format"] = self.fmt
-        return out
+        return {**self.parameters, "out": self.output, "format": self.fmt}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter: an explicit value list or a (lo, hi, steps) range."""
+    """One swept parameter over a (lo, hi, steps) range, linear or log-spaced."""
 
     variable: str
-    values: tuple[float, ...] | None = None
-    lo: float | None = None
-    hi: float | None = None
-    steps: int | None = None
+    lo: float
+    hi: float
+    steps: int
     log: bool = False
 
     def __post_init__(self):
-        if self.values is not None:
-            if not self.values:
-                raise ValueError(f"sweep of '{self.variable}' needs at least one value")
-            return
-        if self.steps is None or self.steps < 2:
+        if self.steps < 2:
             raise ValueError(f"parameter 'steps' must be >= 2, got {self.steps}")
-        if self.lo is None or self.hi is None or not self.lo < self.hi:
+        if not self.lo < self.hi:
             raise ValueError(
                 f"sweep range for '{self.variable}' needs min < max, got [{self.lo}, {self.hi}]"
             )
@@ -73,8 +73,6 @@ class SweepSpec:
             raise ValueError(f"log-spaced sweep of '{self.variable}' needs min > 0, got {self.lo}")
 
     def grid(self) -> list[float]:
-        if self.values is not None:
-            return list(self.values)
         lo, hi, steps = self.lo, self.hi, self.steps
         if self.log:
             llo, lhi = math.log(lo), math.log(hi)
@@ -95,148 +93,243 @@ class ResultSet:
         return bool(rows) and all(isinstance(r.get("error"), str) for r in rows)
 
 
-def _positive(v, key):
-    if not (math.isfinite(v) and v > 0.0):
-        raise UsageError(f"parameter '{key}' must be positive, got {v}")
-    return v
+# A parse function maps a raw value (a string from argv or a JSON value from
+# a config file) to its canonical value, or raises ValueError saying what the
+# parameter must be; the message is prefixed with the parameter's name.
 
-
-def _non_negative(v, key):
-    if not (math.isfinite(v) and v >= 0.0):
-        raise UsageError(f"parameter '{key}' must be non-negative, got {v}")
-    return v
-
-
-def _above_one(v, key):
-    if not (math.isfinite(v) and v > 1.0):
-        raise UsageError(f"parameter '{key}' must be > 1, got {v}")
-    return v
-
-
-def _as_float(v, key):
+def _number(v):
     try:
         f = float(v)
     except (TypeError, ValueError):
-        raise UsageError(f"parameter '{key}' must be a number, got {v!r}") from None
+        raise ValueError(f"must be a number, got {v!r}") from None
     if not math.isfinite(f):
-        raise UsageError(f"parameter '{key}' must be finite, got {v!r}")
+        raise ValueError(f"must be finite, got {v!r}")
     return f
 
 
-def _as_int(v, key):
+def _integer(v):
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-        raise UsageError(f"parameter '{key}' must be an integer, got {v!r}")
+        raise ValueError(f"must be an integer, got {v!r}")
     try:
         return int(v)
     except (TypeError, ValueError):
-        raise UsageError(f"parameter '{key}' must be an integer, got {v!r}") from None
+        raise ValueError(f"must be an integer, got {v!r}") from None
 
 
-def _as_choice(v, key, choices):
-    if v not in choices:
-        raise UsageError(f"parameter '{key}' must be one of {sorted(map(str, choices))}, got {v!r}")
-    return v
+def _checked(convert, ok, what):
+    """Parse with convert, then require ok(value), described as what."""
+    def parse(v):
+        v = convert(v)
+        if not ok(v):
+            raise ValueError(f"must be {what}, got {v!r}")
+        return v
+    return parse
 
 
-def _as_float_list(v, key):
+def _one_of(*choices, convert=str):
+    parse = _checked(convert, lambda v: v in choices, f"one of {sorted(map(str, choices))}")
+    parse.metavar = "{" + ",".join(map(str, choices)) + "}"   # shown by --help
+    return parse
+
+
+_positive = _checked(_number, lambda f: f > 0.0, "positive")
+_non_negative = _checked(_number, lambda f: f >= 0.0, "non-negative")
+_above_one = _checked(_number, lambda f: f > 1.0, "> 1")
+_dimension = _checked(_integer, lambda n: n >= 1, ">= 1")
+_two_or_more = _checked(_integer, lambda n: n >= 2, ">= 2")
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot be read from {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"is not valid JSON in {path!r}: {exc}") from None
+
+
+def _float_list(v):
     if isinstance(v, str):
         try:
             v = json.loads(v)
         except json.JSONDecodeError:
-            raise UsageError(f"parameter '{key}' must be a JSON array, got {v!r}") from None
+            raise ValueError(f"must be a JSON array, got {v!r}") from None
     if not isinstance(v, list):
-        raise UsageError(f"parameter '{key}' must be a JSON array, got {v!r}")
-    return [_as_float(c, key) for c in v]
+        raise ValueError(f"must be a JSON array, got {v!r}")
+    return [_number(c) for c in v]
 
 
-def _as_coeffs(v, key):
+def _coeffs(v):
     # inline JSON array first; anything that is not valid JSON is a file path
     if isinstance(v, str):
         try:
-            parsed = json.loads(v)
+            v = json.loads(v)
         except json.JSONDecodeError:
-            try:
-                with open(v, "r", encoding="utf-8") as fh:
-                    parsed = json.load(fh)
-            except OSError as exc:
-                raise UsageError(f"parameter '{key}': cannot read file {v!r}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"parameter '{key}': file {v!r} is not valid JSON: {exc}") from None
-        v = parsed
-    if not isinstance(v, list):
-        raise UsageError(f"parameter '{key}' must be a JSON array (inline or in a file)")
-    return [_as_float(c, key) for c in v]
+            v = _read_json(v)
+    coeffs = _float_list(v)
+    if not coeffs:
+        raise ValueError("must hold at least one coefficient")
+    if coeffs[0] == 0.0:
+        raise ValueError("must have a nonzero leading coefficient")
+    return coeffs
 
 
-# Per-command flag tables drive both the argparse surface and config-file
-# key checking; every flag keeps default None so explicit flags can be told
-# apart from file values.
-_GLOBAL_FLAGS = {
-    "out": dict(type=str, help="output path (default: stdout)"),
-    "format": dict(type=str, choices=["csv", "json"], help="output format (default: json)"),
-    "config": dict(type=str, help="JSON config file mirroring the flags"),
-}
+def _field_scale(v):
+    return v if v == "auto" else _positive(v)
 
-_COMMAND_FLAGS = {
-    "plates-pair": {
-        "a": dict(type=float, help="plate spacing"),
-        "kind": dict(type=str, choices=["dirichlet", "em"], help="field kind (default: dirichlet)"),
-    },
-    "plates-stack": {
-        "a": dict(type=float, help="base spacing"),
-        "x": dict(type=float, help="stack ratio (> 1)"),
-        "direction": dict(type=str, choices=["inflation", "contraction", "combined"]),
-        "truncate": dict(type=int, help="finite plate count (>= 2)"),
-    },
-    "plates-sweep": {
-        "a": dict(type=float, help="base spacing"),
-        "direction": dict(type=str, choices=["inflation", "contraction", "combined"]),
-        "x-min": dict(type=float), "x-max": dict(type=float),
-        "steps": dict(type=int),
-        "log": dict(action="store_const", const=True, help="log-spaced grid"),
-    },
-    "series-resum": {
-        "coeffs": dict(type=str, help="JSON array of coefficients, inline or a file path"),
-        "x": dict(type=float, help="evaluation point"),
-        "tol": dict(type=float, help="convergent agreement tolerance (default 1e-10)"),
-    },
-    "gaussian-energy": {
-        "d": dict(type=int), "lambda": dict(type=float), "b": dict(type=float),
-        "T": dict(type=float), "t": dict(type=float), "K": dict(type=float),
-        "L": dict(type=float),
-        "higher": dict(type=str, help="JSON array of q^6, q^8, ... coefficients"),
-    },
-    "gaussian-sweep": {
-        "var": dict(type=str, choices=["lambda", "b", "t"]),
-        "min": dict(type=float), "max": dict(type=float),
-        "steps": dict(type=int),
-        "log": dict(action="store_const", const=True, help="log-spaced grid"),
-        "fit": dict(action="store_const", const=True, help="append a power-law fit record"),
-        "d": dict(type=int), "lambda": dict(type=float), "b": dict(type=float),
-        "T": dict(type=float), "t": dict(type=float), "K": dict(type=float),
-        "L": dict(type=float), "higher": dict(type=str),
-    },
-    "gaussian-rg": {
-        "d": dict(type=int), "b": dict(type=float),
-        "B": dict(type=str, help="field scale, a number or 'auto' (K-fixing value)"),
-        "t": dict(type=float), "K": dict(type=float), "L": dict(type=float),
-    },
-    "lattice-check": {
-        "d": dict(type=int, choices=[1, 2]),
-        "sites": dict(type=int, help="sites per axis"),
-        "seed": dict(type=int, help="RNG seed (default 0)"),
-    },
-}
 
-_CSV_HEADERS = {
-    "plates-pair": ["a", "kind", "value"],
-    "plates-stack": ["a", "x", "direction", "N", "value", "regularized"],
-    "plates-sweep": ["a", "x", "direction", "N", "value", "regularized"],
-    "series-resum": ["value", "converged", "convergents_used", "residual"],
-    "gaussian-energy": ["d", "lambda", "b", "T", "t", "K", "L", "value", "error"],
-    "gaussian-sweep": ["d", "lambda", "b", "T", "t", "K", "L", "value", "error"],
-    "gaussian-rg": ["d", "b", "B", "t", "K", "L"],
-    "lattice-check": ["d", "sites", "seed", "phi2_residual", "grad2_residual"],
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One flag and config-file key.  An absent optional parameter takes its
+    default through parse; with default None it is left out entirely."""
+
+    name: str
+    parse: Callable[[object], object]
+    default: object = REQUIRED
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its parameters and how it turns them into rows.
+
+    base(p) gives the fields a row keeps even when the computation fails,
+    compute(p) the computed fields; check(p) is a cross-field check raising
+    ValueError, and sweep(p), when set, the grid the rows run over.
+    """
+
+    params: tuple[Param, ...]
+    header: tuple[str, ...]
+    base: Callable[[dict], dict]
+    compute: Callable[[dict], dict]
+    check: Callable[[dict], None] | None = None
+    sweep: Callable[[dict], SweepSpec] | None = None
+
+
+def _fields(*keys, **optional):
+    """Row fields copied from the parameters; an optional field (row key =
+    parameter key) only where that parameter is set and not empty."""
+    def base(p):
+        fields = {k: p[k] for k in keys}
+        fields.update((k, p[src]) for k, src in optional.items() if p.get(src))
+        return fields
+    return base
+
+
+def _stack(p):
+    direction = plates.StackDirection(p["direction"])
+    result = plates.stack_energy(plates.StackConfig(p["a"], p["x"], direction, p.get("truncate")))
+    return {"value": result.value, "regularized": result.regularized}
+
+
+def _no_truncated_combined(p):
+    if "truncate" in p and p["direction"] == "combined":
+        raise ValueError("parameter 'truncate' is not defined for the combined stack")
+
+
+def _shell_energy(p):
+    params = gaussian.LGParams(t=p["t"], K=p["K"], L=p["L"], higher=tuple(p["higher"]))
+    shell = gaussian.ShellSpec(dim=p["d"], cutoff=p["lambda"], shell_factor=p["b"],
+                               temperature=p["T"])
+    return gaussian.casimir_energy_density(params, shell)
+
+
+def _shell_sweep_point(p):
+    result = _shell_energy(p)
+    return {"value": result.value, "error": result.abs_error_estimate}
+
+
+def _rescale(p):
+    B = p["B"]
+    if B == "auto":
+        B = gaussian.fixed_point_field_scale(p["b"], p["d"])
+    params = gaussian.LGParams(t=p["t"], K=p["K"], L=p["L"])
+    rescaled = gaussian.rg_rescale(params, p["b"], B, p["d"])
+    return {"B": B, "t": rescaled.t, "K": rescaled.K, "L": rescaled.L}
+
+
+def _lattice(p):
+    rng = np.random.default_rng(p["seed"])
+    shape = (p["sites"],) if p["d"] == 1 else (p["sites"], p["sites"])
+    lattice = gaussian.LatticeField(values=rng.standard_normal(shape), spacing=1.0)
+    phi2, grad2 = gaussian.parseval_residuals(lattice)
+    return {"phi2_residual": phi2, "grad2_residual": grad2}
+
+
+_GLOBALS = (
+    Param("out", str, None, "output path (default: stdout)"),
+    Param("format", _one_of("csv", "json"), "json", "output format (default: json)"),
+)
+_DIRECTION = Param("direction", _one_of("inflation", "contraction", "combined"))
+_GRID = (Param("steps", _two_or_more), Param("log", bool, False, "log-spaced grid"))
+_SHELL = (
+    Param("d", _dimension), Param("lambda", _positive), Param("b", _above_one),
+    Param("T", _positive), Param("t", _non_negative), Param("K", _non_negative),
+    Param("L", _non_negative, 0.0),
+    Param("higher", _float_list, [], "JSON array of q^6, q^8, ... coefficients"),
+)
+_STACK_BASE = _fields("a", "x", "direction", N="truncate")
+_SHELL_BASE = _fields("d", "lambda", "b", "T", "t", "K", "L", higher="higher")
+_STACK_HEADER = ("a", "x", "direction", "N", "value", "regularized")
+_SHELL_HEADER = ("d", "lambda", "b", "T", "t", "K", "L", "value", "error")
+
+COMMANDS = {
+    "plates-pair": Command(
+        params=(Param("a", _positive, help="plate spacing"),
+                Param("kind", _one_of("dirichlet", "em"), "dirichlet",
+                      "field kind (default: dirichlet)")),
+        header=("a", "kind", "value"), base=_fields("a", "kind"),
+        compute=lambda p: {"value": plates.pair_interaction_energy(
+            p["a"], plates.FieldKind(p["kind"])).value},
+    ),
+    "plates-stack": Command(
+        params=(Param("a", _positive, help="base spacing"),
+                Param("x", _above_one, help="stack ratio (> 1)"), _DIRECTION,
+                Param("truncate", _two_or_more, None, "finite plate count (>= 2)")),
+        header=_STACK_HEADER, base=_STACK_BASE, compute=_stack, check=_no_truncated_combined,
+    ),
+    "plates-sweep": Command(
+        params=(Param("a", _positive, help="base spacing"), _DIRECTION,
+                Param("x-min", _number), Param("x-max", _number), *_GRID),
+        header=_STACK_HEADER, base=_STACK_BASE, compute=_stack,
+        sweep=lambda p: SweepSpec("x", p["x-min"], p["x-max"], p["steps"], p["log"]),
+    ),
+    "series-resum": Command(
+        params=(Param("coeffs", _coeffs, help="JSON array of coefficients, inline or a file path"),
+                Param("x", _number, help="evaluation point"),
+                Param("tol", _positive, 1e-10, "convergent agreement tolerance (default 1e-10)")),
+        header=("value", "converged", "convergents_used", "residual"), base=_fields(),
+        compute=lambda p: dataclasses.asdict(series.self_similar_sum(
+            series.PowerSeries(tuple(p["coeffs"])), p["x"], p["tol"])),
+    ),
+    "gaussian-energy": Command(
+        params=_SHELL, header=_SHELL_HEADER, base=_SHELL_BASE,
+        compute=lambda p: dataclasses.asdict(_shell_energy(p)),
+    ),
+    "gaussian-sweep": Command(
+        params=(Param("var", _one_of("lambda", "b", "t")), Param("min", _number),
+                Param("max", _number), *_GRID,
+                Param("fit", bool, False, "append a power-law fit record"), *_SHELL),
+        header=_SHELL_HEADER, base=_SHELL_BASE, compute=_shell_sweep_point,
+        sweep=lambda p: SweepSpec(p["var"], p["min"], p["max"], p["steps"], p["log"]),
+    ),
+    "gaussian-rg": Command(
+        params=(Param("d", _dimension), Param("b", _above_one),
+                Param("B", _field_scale, "auto", "field scale, a number or 'auto' (K-fixing value)"),
+                Param("t", _non_negative), Param("K", _non_negative), Param("L", _non_negative)),
+        header=("d", "b", "B", "t", "K", "L"), base=_fields("d", "b"), compute=_rescale,
+    ),
+    "lattice-check": Command(
+        params=(Param("d", _one_of(1, 2, convert=_integer)),
+                Param("sites", _two_or_more, help="sites per axis"),
+                Param("seed", _integer, 0, "RNG seed (default 0)")),
+        header=("d", "sites", "seed", "phi2_residual", "grad2_residual"),
+        base=_fields("d", "sites", "seed"), compute=_lattice,
+    ),
 }
 
 
@@ -245,211 +338,77 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sscasimir", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, flags in _COMMAND_FLAGS.items():
-        p = sub.add_parser(command)
-        for name, kwargs in {**flags, **_GLOBAL_FLAGS}.items():
-            p.add_argument(f"--{name}", default=None, dest=name.replace("-", "_"), **kwargs)
+def _command_parser(name: str, command: Command) -> _Parser:
+    # every option keeps default None so explicit flags can be told apart
+    # from config-file values
+    parser = _Parser(prog=f"sscasimir {name}")
+    # argparse takes a dash-led number for a value only in the forms '-1' and
+    # '-0.5'; this also admits the exponent form, as in '--x -9.9e-05'
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+    for param in command.params + _GLOBALS:
+        flag = dict(action="store_const", const=True) if param.parse is bool else {}
+        metavar = getattr(param.parse, "metavar", param.name.upper().replace("-", "_"))
+        parser.add_argument(f"--{param.name}", dest=param.name, help=param.help,
+                            metavar=metavar, **flag)
+    parser.add_argument("--config", help="JSON config file mirroring the flags")
     return parser
 
 
-def _load_config_file(path: str, command: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path!r} must hold a JSON object")
-    known = set(_COMMAND_FLAGS[command]) | {"out", "format"}
-    for key in data:
-        if key not in known:
-            raise UsageError(f"unknown key '{key}' in config file for {command}")
-    return data
-
-
-def _check_sweep_range(lo, hi, steps, log, key):
-    try:
-        SweepSpec(variable=key, lo=lo, hi=hi, steps=steps, log=log)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _gaussian_fixed_params(raw, req, opt, skip=None):
-    p = {}
-    if skip != "d":
-        p["d"] = _as_int(req("d"), "d")
-        if p["d"] < 1:
-            raise UsageError(f"parameter 'd' must be >= 1, got {p['d']}")
-    if skip != "lambda":
-        p["lambda"] = _positive(_as_float(req("lambda"), "lambda"), "lambda")
-    if skip != "b":
-        p["b"] = _above_one(_as_float(req("b"), "b"), "b")
-    p["T"] = _positive(_as_float(req("T"), "T"), "T")
-    if skip != "t":
-        p["t"] = _non_negative(_as_float(req("t"), "t"), "t")
-    p["K"] = _non_negative(_as_float(req("K"), "K"), "K")
-    p["L"] = _non_negative(_as_float(opt("L", 0.0), "L"), "L")
-    p["higher"] = _as_float_list(opt("higher", []), "higher")
-    return p
-
-
-def _validate(command: str, raw: dict) -> dict:
-    """Type and precondition checks; returns the canonical parameter dict."""
+def _parameters(name: str, params: tuple[Param, ...], raw: dict) -> dict:
+    """Parse and check each parameter in table order; None counts as absent."""
     p: dict = {}
-
-    def req(key):
-        if raw.get(key) is None:
-            raise UsageError(f"missing required parameter '{key}' for {command}")
-        return raw[key]
-
-    def opt(key, default=None):
-        return raw[key] if raw.get(key) is not None else default
-
-    if command == "plates-pair":
-        p["a"] = _positive(_as_float(req("a"), "a"), "a")
-        p["kind"] = _as_choice(opt("kind", "dirichlet"), "kind", {"dirichlet", "em"})
-    elif command == "plates-stack":
-        p["a"] = _positive(_as_float(req("a"), "a"), "a")
-        p["x"] = _above_one(_as_float(req("x"), "x"), "x")
-        p["direction"] = _as_choice(req("direction"), "direction",
-                                    {"inflation", "contraction", "combined"})
-        if opt("truncate") is not None:
-            n = _as_int(raw["truncate"], "truncate")
-            if n < 2:
-                raise UsageError(f"parameter 'truncate' must be >= 2, got {n}")
-            if p["direction"] == "combined":
-                raise UsageError("parameter 'truncate' is not defined for the combined stack")
-            p["truncate"] = n
-    elif command == "plates-sweep":
-        p["a"] = _positive(_as_float(req("a"), "a"), "a")
-        p["direction"] = _as_choice(req("direction"), "direction",
-                                    {"inflation", "contraction", "combined"})
-        p["x-min"] = _as_float(req("x-min"), "x-min")
-        p["x-max"] = _as_float(req("x-max"), "x-max")
-        p["steps"] = _as_int(req("steps"), "steps")
-        p["log"] = bool(opt("log", False))
-        _check_sweep_range(p["x-min"], p["x-max"], p["steps"], p["log"], "x")
-    elif command == "series-resum":
-        coeffs = _as_coeffs(req("coeffs"), "coeffs")
-        if not coeffs:
-            raise UsageError("parameter 'coeffs' must hold at least one coefficient")
-        if coeffs[0] == 0.0:
-            raise UsageError("parameter 'coeffs' must have a nonzero leading coefficient")
-        p["coeffs"] = coeffs
-        p["x"] = _as_float(req("x"), "x")
-        p["tol"] = _positive(_as_float(opt("tol", 1e-10), "tol"), "tol")
-    elif command == "gaussian-energy":
-        p.update(_gaussian_fixed_params(raw, req, opt))
-    elif command == "gaussian-sweep":
-        p["var"] = _as_choice(req("var"), "var", {"lambda", "b", "t"})
-        p["min"] = _as_float(req("min"), "min")
-        p["max"] = _as_float(req("max"), "max")
-        p["steps"] = _as_int(req("steps"), "steps")
-        p["log"] = bool(opt("log", False))
-        p["fit"] = bool(opt("fit", False))
-        _check_sweep_range(p["min"], p["max"], p["steps"], p["log"], p["var"])
-        p.update(_gaussian_fixed_params(raw, req, opt, skip=p["var"]))
-    elif command == "gaussian-rg":
-        p["d"] = _as_int(req("d"), "d")
-        if p["d"] < 1:
-            raise UsageError(f"parameter 'd' must be >= 1, got {p['d']}")
-        p["b"] = _above_one(_as_float(req("b"), "b"), "b")
-        B = opt("B", "auto")
-        if B != "auto":
-            B = _positive(_as_float(B, "B"), "B")
-        p["B"] = B
-        p["t"] = _non_negative(_as_float(req("t"), "t"), "t")
-        p["K"] = _non_negative(_as_float(req("K"), "K"), "K")
-        p["L"] = _non_negative(_as_float(req("L"), "L"), "L")
-    elif command == "lattice-check":
-        p["d"] = _as_choice(_as_int(req("d"), "d"), "d", {1, 2})
-        p["sites"] = _as_int(req("sites"), "sites")
-        if p["sites"] < 2:
-            raise UsageError(f"parameter 'sites' must be >= 2, got {p['sites']}")
-        p["seed"] = _as_int(opt("seed", 0), "seed")
-    else:
-        raise UsageError(f"unknown command {command!r}")
+    for param in params:
+        if param.name == p.get("var"):
+            continue    # a gaussian sweep takes the parameter it varies from its grid
+        value = param.default if raw.get(param.name) is None else raw[param.name]
+        if value is REQUIRED:
+            raise UsageError(f"missing required parameter '{param.name}' for {name}")
+        if value is None:
+            continue
+        try:
+            p[param.name] = param.parse(value)
+        except ValueError as exc:
+            raise UsageError(f"parameter '{param.name}' {exc}") from None
     return p
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse argv (and an optional --config file) into a validated RunConfig."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
+    if not argv:
         raise UsageError("no command given (see --help)")
-    command = ns.command
-
-    merged: dict = {}
-    if ns.config is not None:
-        merged.update(_load_config_file(ns.config, command))
-    for name in _COMMAND_FLAGS[command]:
-        value = getattr(ns, name.replace("-", "_"))
-        if value is not None:
-            merged[name] = value
-
-    out = ns.out if ns.out is not None else merged.get("out")
-    fmt = ns.format if ns.format is not None else merged.get("format", "json")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"parameter 'format' must be csv or json, got {fmt!r}")
-
-    params = _validate(command, merged)
-    return RunConfig(command=command, parameters=params, output=out, fmt=fmt)
-
-
-def _stack_record(a, x, direction, truncate):
-    base = {"a": a, "x": x, "direction": direction}
-    if truncate is not None:
-        base["N"] = truncate
+    name = argv[0]
+    command = COMMANDS.get(name)
+    if command is None:     # --help lists the commands; an unknown one is named
+        parser = _Parser(prog="sscasimir", description=__doc__.splitlines()[0])
+        parser.add_argument("command", choices=COMMANDS)
+        parser.parse_args(argv)
+        raise UsageError(f"unknown command {name!r}")
+    flags = vars(_command_parser(name, command).parse_args(argv[1:]))
+    path = flags.pop("config")
+    raw = {}
+    if path is not None:
+        try:
+            raw = _read_json(path)
+        except ValueError as exc:
+            raise UsageError(f"config file {exc}") from None
+        if not isinstance(raw, dict):
+            raise UsageError(f"config file {path!r} must hold a JSON object")
+        unknown = [key for key in raw if key not in flags]
+        if unknown:
+            raise UsageError(f"unknown key '{unknown[0]}' in config file for {name}")
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    p = _parameters(name, command.params + _GLOBALS, raw)
+    out, fmt = p.pop("out", None), p.pop("format")
     try:
-        cfg = plates.StackConfig(
-            base_spacing=a,
-            ratio=x,
-            direction=plates.StackDirection(direction),
-            truncation=truncate,
-        )
-        result = plates.stack_energy(cfg)
+        for check in filter(None, (command.check, command.sweep)):
+            check(p)
     except ValueError as exc:
-        base["error"] = str(exc)
-        return base
-    base["value"] = result.value
-    base["regularized"] = result.regularized
-    return base
-
-
-def _gaussian_record(p, sweep_row=False):
-    base = {k: p[k] for k in ("d", "lambda", "b", "T", "t", "K", "L")}
-    if p.get("higher"):
-        base["higher"] = list(p["higher"])
-    try:
-        params = gaussian.LGParams(t=p["t"], K=p["K"], L=p["L"], higher=tuple(p["higher"]))
-        shell = gaussian.ShellSpec(
-            dim=p["d"], cutoff=p["lambda"], shell_factor=p["b"], temperature=p["T"]
-        )
-        result = gaussian.casimir_energy_density(params, shell)
-    except (ValueError, QuadratureConvergenceError) as exc:
-        base["error"] = str(exc)
-        return base
-    base["value"] = result.value
-    if sweep_row:
-        base["error"] = result.abs_error_estimate
-    else:
-        base["abs_error_estimate"] = result.abs_error_estimate
-        base["evaluations"] = result.evaluations
-    return base
+        raise UsageError(str(exc)) from None
+    return RunConfig(command=name, parameters=p, output=out, fmt=fmt)
 
 
 def _fit_record(records):
-    points = [
-        (r["b"] / r["lambda"], r["value"])
-        for r in records
-        if "value" in r
-    ]
+    points = [(r["b"] / r["lambda"], r["value"]) for r in records if "value" in r]
     try:
         exponent, r_squared = gaussian.fit_power_law(points)
     except ValueError as exc:
@@ -458,63 +417,24 @@ def _fit_record(records):
 
 
 def execute(config: RunConfig) -> ResultSet:
-    """Dispatch a validated RunConfig; failed sweep points become error rows."""
-    p = config.parameters
-    cmd = config.command
-    records: list[dict] = []
-
-    if cmd == "plates-pair":
-        kind = plates.FieldKind(p["kind"])
-        result = plates.pair_interaction_energy(p["a"], kind)
-        records.append({"a": p["a"], "kind": p["kind"], "value": result.value})
-    elif cmd == "plates-stack":
-        records.append(_stack_record(p["a"], p["x"], p["direction"], p.get("truncate")))
-    elif cmd == "plates-sweep":
-        sweep = SweepSpec(variable="x", lo=p["x-min"], hi=p["x-max"],
-                          steps=p["steps"], log=p["log"])
-        for x in sweep.grid():
-            records.append(_stack_record(p["a"], x, p["direction"], None))
-    elif cmd == "series-resum":
+    """Run a validated RunConfig: one row, or one per point of the command's
+    sweep in grid order; failed points become error rows."""
+    command, p = COMMANDS[config.command], config.parameters
+    points = [p]
+    if command.sweep is not None:
+        spec = command.sweep(p)
+        points = [{**p, spec.variable: v} for v in spec.grid()]
+    records = []
+    for point in points:
+        record = command.base(point)
         try:
-            result = series.self_similar_sum(
-                series.PowerSeries(tuple(p["coeffs"])), p["x"], p["tol"]
-            )
-            records.append(result.as_dict())
-        except ValueError as exc:
-            records.append({"x": p["x"], "error": str(exc)})
-    elif cmd == "gaussian-energy":
-        records.append(_gaussian_record(p))
-    elif cmd == "gaussian-sweep":
-        sweep = SweepSpec(variable=p["var"], lo=p["min"], hi=p["max"],
-                          steps=p["steps"], log=p["log"])
-        for v in sweep.grid():
-            point = dict(p)
-            point[p["var"]] = v
-            records.append(_gaussian_record(point, sweep_row=True))
-        if p["fit"]:
-            records.append(_fit_record(records))
-    elif cmd == "gaussian-rg":
-        params = gaussian.LGParams(t=p["t"], K=p["K"], L=p["L"])
-        B = p["B"]
-        if B == "auto":
-            B = gaussian.fixed_point_field_scale(p["b"], p["d"])
-        rescaled = gaussian.rg_rescale(params, p["b"], B, p["d"])
-        records.append({
-            "d": p["d"], "b": p["b"], "B": B,
-            "t": rescaled.t, "K": rescaled.K, "L": rescaled.L,
-        })
-    elif cmd == "lattice-check":
-        rng = np.random.default_rng(p["seed"])
-        shape = (p["sites"],) if p["d"] == 1 else (p["sites"], p["sites"])
-        lattice = gaussian.LatticeField(values=rng.standard_normal(shape), spacing=1.0)
-        phi2, grad2 = gaussian.parseval_residuals(lattice)
-        records.append({
-            "d": p["d"], "sites": p["sites"], "seed": p["seed"],
-            "phi2_residual": phi2, "grad2_residual": grad2,
-        })
-    else:
-        raise UsageError(f"unknown command {cmd!r}")
-    return ResultSet(command=cmd, records=records)
+            record.update(command.compute(point))
+        except (ValueError, ArithmeticError, QuadratureConvergenceError) as exc:
+            record["error"] = str(exc)
+        records.append(record)
+    if p.get("fit"):
+        records.append(_fit_record(records))
+    return ResultSet(command=config.command, records=records)
 
 
 def _cell(value) -> str:
@@ -537,29 +457,20 @@ def render(results: ResultSet, fmt: str) -> str:
         return json.dumps(results.records, indent=2) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
-    header = _CSV_HEADERS[results.command]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    trailer_lines = []
+    writer = csv.DictWriter(buf, COMMANDS[results.command].header, restval="",
+                            extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    trailer = ""
     for record in results.records:
         if "exponent" in record:  # sweep fit trailer; no grid columns
-            trailer_lines.append(
-                "# fit exponent=%s r_squared=%s"
-                % (_cell(record.get("exponent")), _cell(record.get("r_squared")))
-            )
+            trailer += "# fit exponent=%s r_squared=%s\n" % (
+                _cell(record.get("exponent")), _cell(record.get("r_squared")))
             continue
-        row = []
-        for key in header:
-            value = record.get(key)
-            if key == "error" and value is None:
-                value = record.get("abs_error_estimate")
-            row.append(_cell(value))
-        writer.writerow(row)
-    text = buf.getvalue()
-    for line in trailer_lines:
-        text += line + "\n"
-    return text
+        cells = {key: _cell(value) for key, value in record.items()}
+        cells.setdefault("error", cells.get("abs_error_estimate", ""))
+        writer.writerow(cells)
+    return buf.getvalue() + trailer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -571,11 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     results = execute(config)
-    try:
-        text = render(results, config.fmt)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    text = render(results, config.fmt)
     if config.output is None:
         sys.stdout.write(text)
     else:

@@ -76,7 +76,8 @@ class LGParams:
     def __post_init__(self):
         object.__setattr__(self, "higher", tuple(float(h) for h in self.higher))
         for name in ("t", "K", "L"):
-            v = getattr(self, name)
+            v = float(getattr(self, name))
+            object.__setattr__(self, name, v)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
         if any(not math.isfinite(h) for h in self.higher):

@@ -99,14 +99,35 @@ def _check_ratio(x: float) -> None:
         raise ValueError(f"stack ratio must be > 1, got {x}")
 
 
+def _power(base: float, k: int) -> float:
+    """base ** k for base > 0, with inf where float ** would raise OverflowError."""
+    try:
+        return base ** k
+    except OverflowError:
+        return math.inf
+
+
+def _minus_pi_sq_over(denominator: float) -> float:
+    """-pi^2 / denominator for a positive denominator of float powers.
+
+    A denominator beyond the float range (inf) gives the limit -0.0; one that
+    underflows to 0, or a quotient beyond the float range, raises ValueError.
+    """
+    value = -_PI_SQ / denominator if denominator else -math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"value beyond the float range: its denominator is {denominator!r}")
+    return value
+
+
 def pair_interaction_energy(a: float, kind: FieldKind = FieldKind.DIRICHLET_SCALAR) -> EnergyDensity:
     """Interaction energy per unit area of two plates at spacing a.
 
     -pi^2/(1440 a^3) for a Dirichlet scalar; exactly twice that for the
-    electromagnetic field.
+    electromagnetic field.  A spacing whose cube is beyond the float range
+    gives -0.0; one whose energy is beyond it raises ValueError.
     """
     _check_spacing(a)
-    value = -_PI_SQ / (1440.0 * a ** 3)
+    value = _minus_pi_sq_over(1440.0 * _power(a, 3))
     if kind is FieldKind.ELECTROMAGNETIC:
         value = 2.0 * value
     return EnergyDensity(value, regularized=False)
@@ -118,7 +139,7 @@ def force_per_area(a: float) -> float:
     Equals -d/da of the electromagnetic pair energy; negative = attraction.
     """
     _check_spacing(a)
-    return -_PI_SQ / (240.0 * a ** 4)
+    return _minus_pi_sq_over(240.0 * _power(a, 4))
 
 
 def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
@@ -129,7 +150,7 @@ def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
     """
     _check_spacing(a)
     _check_ratio(x)
-    value = -_PI_SQ / (1440.0 * a ** 3 * (x - 1.0) ** 3 * (x ** 3 - 1.0))
+    value = _minus_pi_sq_over(1440.0 * _power(a, 3) * _power(x - 1.0, 3) * (_power(x, 3) - 1.0))
     return EnergyDensity(value, regularized=False)
 
 
@@ -142,7 +163,7 @@ def contraction_stack_energy(a: float, x: float) -> EnergyDensity:
     _check_spacing(a)
     _check_ratio(x)
     first_pair = pair_interaction_energy(a * (x - 1.0) / x).value
-    value = regularized_geometric_sum(first_pair, x ** 3)
+    value = regularized_geometric_sum(first_pair, _power(x, 3))
     return EnergyDensity(value, regularized=True)
 
 
@@ -160,10 +181,11 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
         raise ValueError("truncation of the combined two-sided stack is not defined")
     a, x, n = config.base_spacing, config.ratio, config.truncation
     if config.direction is StackDirection.INFLATION:
-        gaps = (x ** k * a * (x - 1.0) for k in range(1, n))
+        gaps = (_power(x, k) * a * (x - 1.0) for k in range(1, n))
     else:
-        gaps = (a * (x - 1.0) / x ** k for k in range(1, n))
-    value = math.fsum(pair_interaction_energy(g).value for g in gaps)
+        gaps = (a * (x - 1.0) / _power(x, k) for k in range(1, n))
+    # a gap beyond the float range adds its pair energy's limit, -0.0
+    value = math.fsum(pair_interaction_energy(g).value for g in gaps if g != math.inf)
     return EnergyDensity(value, regularized=False)
 
 
@@ -191,15 +213,18 @@ def functional_equation_residual(a: float, x: float, direction: StackDirection) 
     _check_ratio(x)
     if direction is StackDirection.INFLATION:
         energy = inflation_stack_energy(a, x).value
-        scaled_copy = energy / x ** 3
+        scaled_copy = energy / _power(x, 3)
         bridge = pair_interaction_energy(x * x * a - x * a).value
     elif direction is StackDirection.CONTRACTION:
         energy = contraction_stack_energy(a, x).value
-        scaled_copy = energy * x ** 3
+        scaled_copy = energy * _power(x, 3)
         bridge = pair_interaction_energy(a - a / x).value
     else:
         raise ValueError("residual is defined for inflation or contraction stacks")
-    return energy - (scaled_copy + bridge)
+    residual = energy - (scaled_copy + bridge)
+    if math.isnan(residual):    # 0 * inf: x^3 is beyond the float range
+        raise ValueError(f"residual beyond the float range: x^3 overflows for x = {x!r}")
+    return residual
 
 
 def stack_energy(config: StackConfig) -> EnergyDensity:

@@ -65,13 +65,6 @@ class QuadratureResult:
         if self.abs_error_estimate < 0.0:
             raise ValueError("error estimate must be non-negative")
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "abs_error_estimate": self.abs_error_estimate,
-            "evaluations": self.evaluations,
-        }
-
 
 class QuadratureConvergenceError(RuntimeError):
     """Evaluation budget exhausted; carries the best estimate so far."""

@@ -112,14 +112,6 @@ class RegularizedSum:
     convergents_used: int
     residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "converged": self.converged,
-            "convergents_used": self.convergents_used,
-            "residual": self.residual,
-        }
-
 
 def regularized_geometric_sum(a0: float, x: float) -> float:
     """Value a0/(1-x) assigned to the geometric series a0 * sum(x^i).

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
@@ -122,6 +123,16 @@ class TestCasimirEnergyDensity:
         )
         expected = -0.5 * 4.0 * radial_measure(2) * integral
         assert out.value == pytest.approx(expected, rel=1e-9)
+
+    def test_numpy_coefficients_fail_fast(self):
+        # (u - 2.1)^2 (u + 0.42)^2 - 1e-8 in u = q^2: a dip the positivity
+        # sampler misses, where the integrand divides by an exact 0
+        params = LGParams(t=np.float64(0.77792399), K=np.float64(2.96352), L=np.float64(1.0584),
+                          higher=(np.float64(-3.36), np.float64(1.0)))
+        assert all(type(v) is float for v in (params.t, params.K, params.L, *params.higher))
+        shell = ShellSpec(dim=3, cutoff=2.0, shell_factor=2.0, temperature=1.0)
+        with pytest.raises((ArithmeticError, ValueError)):
+            casimir_energy_density(params, shell)
 
     def test_empty_shell_limit(self):
         out = casimir_energy_density(

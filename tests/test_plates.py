@@ -344,3 +344,47 @@ class TestStackConfigAndDispatch:
     def test_energy_density_is_plain_record(self):
         e = EnergyDensity(-1.0, regularized=True)
         assert e.value == -1.0 and e.regularized
+
+
+def truncated_closed_form(a, x, n_plates):
+    """Oracle: the finite geometric sum of the n-1 inflation pair energies."""
+    first = -PI_SQ / (1440.0 * (a * (x - 1.0)) ** 3)
+    x3 = x ** 3
+    return first / x3 * (1.0 - x3 ** -(n_plates - 1)) / (1.0 - 1.0 / x3)
+
+
+class TestFloatRange:
+    """Energies whose terms leave the float range return their limit or a
+    ValueError naming the cause, never OverflowError or ZeroDivisionError."""
+
+    @pytest.mark.parametrize("x, n_plates", [(4.0, 400), (1e10, 40)])
+    def test_truncated_inflation_returns_its_value(self, x, n_plates):
+        config = StackConfig(1.0, x, StackDirection.INFLATION, truncation=n_plates)
+        got = truncated_stack_energy(config).value
+        assert got == pytest.approx(truncated_closed_form(1.0, x, n_plates), rel=1e-12)
+
+    def test_pair_beyond_float_range_is_minus_zero(self):
+        value = pair_interaction_energy(1e103).value
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    def test_inflation_beyond_float_range_is_minus_zero(self):
+        value = inflation_stack_energy(1e103, 2.0).value
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    def test_contraction_with_huge_ratio_is_its_limit(self):
+        assert contraction_stack_energy(1.0, 1e103).value == 0.0
+
+    def test_pair_energy_beyond_float_range_raises_value_error(self):
+        with pytest.raises(ValueError, match="float range"):
+            pair_interaction_energy(1e-110)
+
+    def test_residual_with_cube_beyond_float_range_raises_value_error(self):
+        with pytest.raises(ValueError, match="float range"):
+            functional_equation_residual(1.0, 1e103, StackDirection.CONTRACTION)
+
+    def test_normal_path_is_bit_identical(self):
+        for a in GRID_A:
+            assert pair_interaction_energy(a).value == -PI_SQ / (1440.0 * a ** 3)
+            for x in GRID_X:
+                expected = -PI_SQ / (1440.0 * a ** 3 * (x - 1.0) ** 3 * (x ** 3 - 1.0))
+                assert inflation_stack_energy(a, x).value == expected
