@@ -10,7 +10,8 @@ Config files mirror the flags one-to-one (JSON object keyed by flag names);
 explicit flags override file values and unknown keys are rejected.  A row
 whose computation fails (ValueError, ArithmeticError, a quadrature that
 does not converge) keeps its base fields and gets an error field, so a
-sweep never aborts on one bad point; the exit code is 0 for full or partial
+sweep never aborts on one bad point; in CSV, whose cells drop the message,
+it goes to stderr as well.  The exit code is 0 for full or partial
 success, 1 for usage or I/O problems, 2 when every point failed.
 """
 
@@ -492,6 +493,11 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write {config.output!r}: {exc}", file=sys.stderr)
             return 1
+    if config.fmt == "csv":     # CSV cells drop a failure's cause; name it on stderr
+        for record in results.records:
+            message = record.get("error", record.get("fit_error"))
+            if isinstance(message, str):
+                print(f"error: {message}", file=sys.stderr)
     return 2 if results.all_failed() else 0
 
 

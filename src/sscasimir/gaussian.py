@@ -48,10 +48,6 @@ __all__ = [
     "parseval_residuals",
 ]
 
-# sample count for the kernel positivity check on a shell: endpoints + 33
-_POSITIVITY_SAMPLES = 35
-
-
 class UnstableKernelError(ValueError):
     """Quadratic mode weight is non-positive somewhere it must not be."""
 
@@ -88,6 +84,11 @@ class LGParams:
             raise ValueError("gradient coefficient K must be non-negative")
         if self.L < 0.0:
             raise ValueError("Laplacian coefficient L must be non-negative")
+
+    @property
+    def coefficients(self) -> tuple[float, ...]:
+        """(t, K, L, *higher): the coefficients of u^0, u^1, ... in u = q^2."""
+        return (self.t, self.K, self.L, *self.higher)
 
     @property
     def correlation_length(self) -> float:
@@ -186,46 +187,76 @@ def radial_measure(d: int) -> float:
     return solid_angle(d) / (2.0 * math.pi) ** d
 
 
-def _check_positive_on(g, lo: float, hi: float, what: str) -> None:
-    # endpoints plus 33 interior points
-    n = _POSITIVITY_SAMPLES - 1
-    for i in range(_POSITIVITY_SAMPLES):
-        q = lo + (hi - lo) * i / n
-        if g(q) <= 0.0:
-            raise UnstableKernelError(f"{what} is non-positive at {q!r}")
+def _sign_at(p: list[int], n: int, s: int) -> int:
+    # sign of p(n/s), exactly: Horner on s^deg p(n/s)
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc, scale = acc * n + c * scale, scale * s
+    return (acc > 0) - (acc < 0)
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    # -(a mod b) times |lead b|^(deg a - deg b + 1), divided by its content
+    lead, nb = b[-1], len(b)
+    r = [abs(lead) ** (len(a) - nb + 1) * c for c in a]
+    for k in range(len(a) - nb, -1, -1):
+        q = r.pop() // lead
+        for i in range(nb - 1):
+            r[k + i] -= q * b[i]
+    while r and not r[-1]:
+        r.pop()
+    g = math.gcd(*r)
+    return [-c // g for c in r]
+
+
+def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> None:
+    """Raise UnstableKernelError unless sum c_m u^m > 0 for all u in [lo^2, hi^2].
+
+    Exact for the float coefficients and edges.  With no negative coefficient
+    (Descartes' rule) the sum does not decrease for u >= 0 and is checked at
+    lo^2; otherwise, over the integers (a float is one over a power of two),
+    the edges are signed and a Sturm chain counts the roots between them.
+    """
+    if min(coeffs) >= 0.0 and (coeffs[0] > 0.0 or (lo > 0.0 and any(coeffs))):
+        return
+    top = max((m for m, c in enumerate(coeffs) if c), default=0)
+    ratios = [c.as_integer_ratio() for c in coeffs[:top + 1]]
+    den = max(d for _, d in ratios)
+    chain = [[n * (den // d) for n, d in ratios]]
+    chain.append([m * c for m, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
+        chain.append(r)
+    changes = []
+    for q in (lo, hi):
+        n, s = q.as_integer_ratio()
+        signs = [_sign_at(p, n * n, s * s) for p in chain]
+        if signs[0] <= 0:
+            raise UnstableKernelError(f"kernel is non-positive at the shell edge q = {q!r}")
+        signs = [x for x in signs if x]
+        changes.append(sum(x != y for x, y in zip(signs, signs[1:])))
+    if changes[0] != changes[1]:
+        raise UnstableKernelError(f"kernel is non-positive for {lo!r} < q < {hi!r}")
+
+
+def _shell_integral(params: LGParams, shell: ShellSpec, integrand, pref: float,
+                    scale: float = 1.0) -> QuadratureResult:
+    # pref * integral over the shell times scale, once the kernel is positive on it
+    lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
+    _check_positive_on(params.coefficients, lo, hi)
+    raw = integrate(integrand, lo * scale, hi * scale, rel_tol=1e-10)
+    return QuadratureResult(pref * raw.value, abs(pref) * raw.abs_error_estimate, raw.evaluations)
 
 
 def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:
     """Shell-mode energy density -(T^2/2) k_d * integral q^(d-1)/g(q) dq.
 
     Integrates over cutoff/shell_factor < q < cutoff by adaptive quadrature
-    (relative tolerance 1e-10); strictly negative whenever the kernel is
-    positive across the shell, which is checked on a 35-point sample first.
+    (relative tolerance 1e-10) once the kernel is shown exactly to be
+    positive across the shell; the result is then strictly negative.
     """
-    lo = shell.cutoff / shell.shell_factor
-    hi = shell.cutoff
-    _check_positive_on(lambda q: kernel(params, q), lo, hi, "kernel on shell")
     d = shell.dim
-
-    def integrand(q: float) -> float:
-        return q ** (d - 1) / kernel(params, q)
-
-    raw = integrate(integrand, lo, hi, rel_tol=1e-10)
     pref = -0.5 * shell.temperature ** 2 * radial_measure(d)
-    return QuadratureResult(
-        value=pref * raw.value,
-        abs_error_estimate=abs(pref) * raw.abs_error_estimate,
-        evaluations=raw.evaluations,
-    )
-
-
-def _reduced_coefficients(params: LGParams) -> list[float]:
-    # coefficients of x^(2m) in g(sqrt(t/K) x)/t: 1, 1, L t/K^2, ...
-    t, K = params.t, params.K
-    coeffs = [1.0, 1.0, params.L * t / K ** 2]
-    for j, h in enumerate(params.higher):
-        coeffs.append(h * t ** (2 + j) / K ** (3 + j))
-    return coeffs
+    return _shell_integral(params, shell, lambda q: q ** (d - 1) / kernel(params, q), pref)
 
 
 def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:
@@ -236,41 +267,16 @@ def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> Quadratu
     with casimir_energy_density as a change-of-variables identity.
     Requires t > 0 (the substitution collapses at criticality) and K > 0.
     """
-    if params.t <= 0.0:
-        raise ValueError("substitution q = sqrt(t/K) x is undefined for t <= 0")
-    if params.K <= 0.0:
-        raise ValueError("substitution q = sqrt(t/K) x is undefined for K <= 0")
-    scale = math.sqrt(params.K / params.t)
-    lo = shell.cutoff / shell.shell_factor * scale
-    hi = shell.cutoff * scale
-    coeffs = _reduced_coefficients(params)
+    t, K, *rest = params.coefficients
+    for name, v in (("t", t), ("K", K)):
+        if v <= 0.0:
+            raise ValueError(f"substitution q = sqrt(t/K) x is undefined for {name} <= 0")
+    # coefficients of x^(2m) in g(sqrt(t/K) x)/t: c_m t^(m-1) / K^m, from 1, 1
+    reduced = [1.0, 1.0] + [c * t ** (m - 1) / K ** m for m, c in enumerate(rest, start=2)]
     d = shell.dim
-
-    def reduced(x: float) -> float:
-        x2 = x * x
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x2 + c
-        return acc
-
-    _check_positive_on(reduced, lo, hi, "reduced kernel on mapped shell")
-
-    def integrand(x: float) -> float:
-        return x ** (d - 1) / reduced(x)
-
-    raw = integrate(integrand, lo, hi, rel_tol=1e-10)
-    pref = (
-        -0.5
-        * radial_measure(d)
-        * (params.t / params.K) ** (d / 2.0)
-        * shell.temperature ** 2
-        / params.t
-    )
-    return QuadratureResult(
-        value=pref * raw.value,
-        abs_error_estimate=abs(pref) * raw.abs_error_estimate,
-        evaluations=raw.evaluations,
-    )
+    pref = -0.5 * radial_measure(d) * (t / K) ** (d / 2.0) * shell.temperature ** 2 / t
+    return _shell_integral(params, shell, lambda x: x ** (d - 1) / _horner(reduced, x * x),
+                           pref, math.sqrt(K / t))
 
 
 def leading_scaling_prediction(shell: ShellSpec, t: float) -> float:
@@ -332,15 +338,9 @@ def rg_rescale(params: LGParams, b: float, field_scale: float, d: int) -> LGPara
     if int(d) != d or d < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {d}")
 
-    def factor(m: int) -> float:
-        return (field_scale / b ** ((d + 2 * m) / 2.0)) ** 2
-
-    return LGParams(
-        t=params.t * factor(0),
-        K=params.K * factor(1),
-        L=params.L * factor(2),
-        higher=tuple(h * factor(3 + j) for j, h in enumerate(params.higher)),
-    )
+    t, K, L, *higher = (c * (field_scale / b ** ((d + 2 * m) / 2.0)) ** 2
+                        for m, c in enumerate(params.coefficients))
+    return LGParams(t, K, L, tuple(higher))
 
 
 def fixed_point_field_scale(b: float, d: int) -> float:

@@ -184,8 +184,9 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
         gaps = (_power(x, k) * a * (x - 1.0) for k in range(1, n))
     else:
         gaps = (a * (x - 1.0) / _power(x, k) for k in range(1, n))
-    # a gap beyond the float range adds its pair energy's limit, -0.0
-    value = math.fsum(pair_interaction_energy(g).value for g in gaps if g != math.inf)
+    # a gap beyond the float range adds its pair energy's limit, -0.0; one
+    # that underflows to 0 has a pair energy beyond the range (ValueError)
+    value = math.fsum(_minus_pi_sq_over(1440.0 * _power(g, 3)) for g in gaps)
     return EnergyDensity(value, regularized=False)
 
 

@@ -281,6 +281,7 @@ class TestMain:
         (["plates-stack", "--a", "1e103", "--x", "2", "--direction", "inflation"], 0),
         (["plates-stack", "--a", "1", "--x", "1e103", "--direction", "contraction"], 0),
         (["plates-pair", "--a", "1e-110"], 2),
+        (["plates-stack", "--a", "1", "--x", "1e200", "--direction", "contraction", "--truncate", "3"], 2),
     ])
     def test_float_range_inputs_exit_cleanly(self, argv, code, capsys):
         assert main(argv) == code
@@ -291,6 +292,35 @@ class TestMain:
             assert math.isfinite(record["value"])
         else:
             assert "float range" in record["error"]
+
+    @pytest.mark.parametrize("argv, row, cause", [
+        (["series-resum", "--coeffs", "[1,0,1]", "--x", "0.5"], ",,,", "intermediate coefficient"),
+        (["plates-pair", "--a", "1e-200"], "1e-200,dirichlet,", "float range"),
+    ])
+    def test_csv_failure_cause_goes_to_stderr(self, argv, row, cause, capsys):
+        assert main(argv + ["--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == [row]
+        assert err.startswith("error: ") and cause in err and err.count("\n") == 1
+        assert main(argv) == 2      # JSON carries the cause in the row only
+        out, err = capsys.readouterr()
+        assert err == "" and cause in json.loads(out)[0]["error"]
+
+    def test_csv_fit_failure_cause_goes_to_stderr(self, capsys):
+        argv = ["gaussian-sweep", "--var", "b", "--min", "1.2", "--max", "2.0", "--steps", "2",
+                "--d", "1", "--lambda", "1", "--T", "1", "--t", "1", "--K", "0", "--fit"]
+        assert main(argv + ["--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "# fit exponent= r_squared="
+        assert err == "error: power-law fit needs at least 3 samples\n"
+
+    def test_kernel_dip_is_an_error_row(self, capsys):
+        # (u - 2.1)^2 (u + 0.42)^2 - 1e-8 in u = q^2 dips below 0 inside the shell
+        argv = ["gaussian-energy", "--d", "3", "--lambda", "2", "--b", "2", "--T", "1",
+                "--t", "0.77792399", "--K", "2.96352", "--L", "1.0584", "--higher", "[-3.36, 1.0]"]
+        assert main(argv) == 2
+        (record,) = json.loads(capsys.readouterr().out)
+        assert "value" not in record and "non-positive" in record["error"]
 
     def test_negative_value_in_exponent_form(self, capsys):
         assert main(["series-resum", "--coeffs", "[1,1,1]", "--x", "-9.9e-05"]) == 0

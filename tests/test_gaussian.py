@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from sscasimir.gaussian import (
+    _check_positive_on,
     BelowCriticalityError,
     LGParams,
     ShellSpec,
@@ -80,6 +84,93 @@ class TestKernel:
             LGParams(t=1.0, K=1.0, L=-0.5)
 
 
+def positive_on_shell(coeffs, lo, hi):
+    """Oracle: sympy's exact root count of sum c_m u^m on [lo^2, hi^2]."""
+    u = sympy.Symbol("u")
+    poly = sympy.Poly([sympy.Rational(*c.as_integer_ratio()) for c in reversed(coeffs)], u)
+    a, b = (sympy.Rational(*q.as_integer_ratio()) ** 2 for q in (lo, hi))
+    return not poly.is_zero and poly.eval(a) > 0 and poly.eval(b) > 0 and poly.count_roots(a, b) == 0
+
+
+def decides_positive(coeffs, lo, hi):
+    try:
+        _check_positive_on(tuple(coeffs), lo, hi)
+    except UnstableKernelError as exc:
+        assert "non-positive" in str(exc)
+        return False
+    return True
+
+
+def peaked(u0, c, eps):
+    """(u - u0)^2 (u + c)^2 + eps expanded in u = q^2, lowest power first."""
+    p, r = c - u0, -u0 * c
+    return (r * r + eps, 2.0 * p * r, p * p + 2.0 * r, 2.0 * p, 1.0)
+
+
+COEFFICIENT = st.one_of(st.integers(-4, 4).map(float),
+                        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+EDGE = st.one_of(st.integers(0, 6).map(lambda k: k / 2.0), st.floats(0.0, 3.0))
+
+
+class TestPositivity:
+    """The kernel positivity test is exact: it agrees with sympy's root count."""
+
+    @given(coeffs=st.lists(COEFFICIENT, min_size=1, max_size=7), lo=EDGE, width=EDGE)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_exact_root_count(self, coeffs, lo, width):
+        hi = lo + width
+        assert decides_positive(coeffs, lo, hi) == positive_on_shell(coeffs, lo, hi)
+
+    @given(u0=st.floats(0.5, 3.0), c=st.floats(0.05, 0.26), log_eps=st.floats(-12.0, -3.0),
+           sign=st.sampled_from([1.0, -1.0]), lo=st.floats(0.3, 1.0), width=st.floats(0.5, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_on_peaked_kernels(self, u0, c, log_eps, sign, lo, width):
+        coeffs = peaked(u0, c * u0, sign * u0 ** 4 * 10.0 ** log_eps)
+        hi = lo + width
+        assert decides_positive(coeffs, lo, hi) == positive_on_shell(coeffs, lo, hi)
+
+    def test_touching_double_root_rejected(self):
+        # (u - 2)^2 touches 0 at q = sqrt(2), inside 1 <= q <= sqrt(3)
+        with pytest.raises(UnstableKernelError, match=r"non-positive for 1.0 < q < 1.73"):
+            _check_positive_on((4.0, -4.0, 1.0), 1.0, math.sqrt(3.0))
+        _check_positive_on((4.0, -4.0, 1.0), 1.5, 2.0)
+
+    def test_zero_at_shell_edge_rejected(self):
+        # 4 - u^3 / 16 vanishes at u = 4, the edge q = 2; u^2 - 1 at the edge q = 1
+        with pytest.raises(UnstableKernelError, match="non-positive at the shell edge q = 2.0"):
+            _check_positive_on((4.0, 0.0, 0.0, -1.0 / 16.0), 1.0, 2.0)
+        with pytest.raises(UnstableKernelError, match="non-positive at the shell edge q = 1.0"):
+            _check_positive_on((-1.0, 0.0, 1.0), 1.0, 2.0)
+
+    @pytest.mark.parametrize("coeffs, lo, hi", [
+        ((-3.0, 2.0, 2.0, 0.0, 0.0, 2.0), 1.0, 1.5),    # chain degree drops by 2, lead < 0
+        ((3.0, 0.0, -2.0, 3.0), 0.0, 1.0),              # g'(u) vanishes at the edge u = 0
+    ])
+    def test_degenerate_sturm_chains(self, coeffs, lo, hi):
+        assert positive_on_shell(coeffs, lo, hi)
+        _check_positive_on(coeffs, lo, hi)
+
+    def test_zero_kernel_rejected(self):
+        with pytest.raises(UnstableKernelError, match="non-positive at the shell edge q = 1.0"):
+            _check_positive_on(LGParams(t=0.0, K=0.0, L=0.0).coefficients, 1.0, 2.0)
+
+    def test_critical_point_needs_a_positive_lower_edge(self):
+        _check_positive_on(LGParams(t=0.0, K=1.0).coefficients, 5e-324, 1.0)
+        with pytest.raises(UnstableKernelError, match="shell edge q = 0.0"):
+            _check_positive_on(LGParams(t=0.0, K=1.0).coefficients, 0.0, 1.0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+    def test_peaked_family(self, eps):
+        _check_positive_on(peaked(2.1, 0.42, eps), 1.0, 2.0)
+        with pytest.raises(UnstableKernelError, match="non-positive for 1.0 < q < 2.0"):
+            _check_positive_on(peaked(2.1, 0.42, -eps), 1.0, 2.0)
+
+    def test_coefficients_are_one_tuple_in_u(self):
+        params = LGParams(t=1, K=2, L=3, higher=(-4, 5))
+        assert params.coefficients == (1.0, 2.0, 3.0, -4.0, 5.0)
+        assert all(type(c) is float for c in params.coefficients)
+
+
 class TestSolidAngle:
     def test_line(self):
         assert solid_angle(1) == pytest.approx(2.0, rel=1e-15)
@@ -125,14 +216,16 @@ class TestCasimirEnergyDensity:
         assert out.value == pytest.approx(expected, rel=1e-9)
 
     def test_numpy_coefficients_fail_fast(self):
-        # (u - 2.1)^2 (u + 0.42)^2 - 1e-8 in u = q^2: a dip the positivity
-        # sampler misses, where the integrand divides by an exact 0
-        params = LGParams(t=np.float64(0.77792399), K=np.float64(2.96352), L=np.float64(1.0584),
-                          higher=(np.float64(-3.36), np.float64(1.0)))
-        assert all(type(v) is float for v in (params.t, params.K, params.L, *params.higher))
+        # (u - 2.1)^2 (u + 0.42)^2 - 1e-8 in u = q^2: a dip 8e-5 wide in u,
+        # where the integrand would divide by an exact 0
         shell = ShellSpec(dim=3, cutoff=2.0, shell_factor=2.0, temperature=1.0)
-        with pytest.raises((ArithmeticError, ValueError)):
-            casimir_energy_density(params, shell)
+        for number in (float, np.float64):
+            params = LGParams(t=number(0.77792399), K=number(2.96352), L=number(1.0584),
+                              higher=(number(-3.36), number(1.0)))
+            assert all(type(v) is float for v in params.coefficients)
+            for energy in (casimir_energy_density, dimensionless_energy_density):
+                with pytest.raises(UnstableKernelError, match="non-positive for 1.0 < q < 2.0"):
+                    energy(params, shell)
 
     def test_empty_shell_limit(self):
         out = casimir_energy_density(

@@ -382,6 +382,23 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="float range"):
             functional_equation_residual(1.0, 1e103, StackDirection.CONTRACTION)
 
+    def test_underflowed_contraction_gap_names_the_float_range(self):
+        # the gap a (x - 1) / x^k underflows to 0 once x^k is beyond the float range
+        config = StackConfig(1.0, 1e200, StackDirection.CONTRACTION, truncation=3)
+        with pytest.raises(ValueError, match="float range"):
+            truncated_stack_energy(config)
+
+    def test_truncated_normal_path_is_bit_identical(self):
+        for a in GRID_A:
+            for x in GRID_X:
+                for n in (2, 5, 40):
+                    gaps = {StackDirection.INFLATION: [x ** k * a * (x - 1.0) for k in range(1, n)],
+                            StackDirection.CONTRACTION: [a * (x - 1.0) / x ** k for k in range(1, n)]}
+                    for direction, spacings in gaps.items():
+                        expected = math.fsum(pair_interaction_energy(g).value for g in spacings)
+                        config = StackConfig(a, x, direction, truncation=n)
+                        assert truncated_stack_energy(config).value == expected
+
     def test_normal_path_is_bit_identical(self):
         for a in GRID_A:
             assert pair_interaction_energy(a).value == -PI_SQ / (1440.0 * a ** 3)
