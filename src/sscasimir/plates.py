@@ -119,6 +119,30 @@ def _minus_pi_sq_over(denominator: float) -> float:
     return value
 
 
+def _pair_energy(gap: float) -> float:
+    """Dirichlet pair energy -pi^2/(1440 gap^3) of a positive gap, inf allowed.
+
+    A gap beyond the float range (inf) gives the limit -0.0; one that
+    underflows to 0 has an energy beyond the range (ValueError).
+    """
+    return _minus_pi_sq_over(1440.0 * _power(gap, 3))
+
+
+def _contraction_gap(a: float, x: float, k: int) -> float:
+    """The k-th gap a (x - 1) / x^k (k >= 1) of a contraction stack.
+
+    Computed as written wherever a (x - 1) is a float, so those gaps keep
+    their bits.  Where it overflows, the gap is (a / x) (x - 1) / x^(k-1),
+    with x^(k-1) divided out in two halves, each of which is a float
+    whenever the gap's pair energy is one.
+    """
+    scaled = a * (x - 1.0)
+    if scaled != math.inf:
+        return scaled / _power(x, k)
+    half = (k - 1) // 2
+    return a / x * (x - 1.0) / _power(x, half) / _power(x, k - 1 - half)
+
+
 def pair_interaction_energy(a: float, kind: FieldKind = FieldKind.DIRICHLET_SCALAR) -> EnergyDensity:
     """Interaction energy per unit area of two plates at spacing a.
 
@@ -127,7 +151,7 @@ def pair_interaction_energy(a: float, kind: FieldKind = FieldKind.DIRICHLET_SCAL
     gives -0.0; one whose energy is beyond it raises ValueError.
     """
     _check_spacing(a)
-    value = _minus_pi_sq_over(1440.0 * _power(a, 3))
+    value = _pair_energy(a)
     if kind is FieldKind.ELECTROMAGNETIC:
         value = 2.0 * value
     return EnergyDensity(value, regularized=False)
@@ -162,8 +186,7 @@ def contraction_stack_energy(a: float, x: float) -> EnergyDensity:
     """
     _check_spacing(a)
     _check_ratio(x)
-    first_pair = pair_interaction_energy(a * (x - 1.0) / x).value
-    value = regularized_geometric_sum(first_pair, _power(x, 3))
+    value = regularized_geometric_sum(_pair_energy(_contraction_gap(a, x, 1)), _power(x, 3))
     return EnergyDensity(value, regularized=True)
 
 
@@ -183,10 +206,8 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
     if config.direction is StackDirection.INFLATION:
         gaps = (_power(x, k) * a * (x - 1.0) for k in range(1, n))
     else:
-        gaps = (a * (x - 1.0) / _power(x, k) for k in range(1, n))
-    # a gap beyond the float range adds its pair energy's limit, -0.0; one
-    # that underflows to 0 has a pair energy beyond the range (ValueError)
-    value = math.fsum(_minus_pi_sq_over(1440.0 * _power(g, 3)) for g in gaps)
+        gaps = (_contraction_gap(a, x, k) for k in range(1, n))
+    value = math.fsum(_pair_energy(g) for g in gaps)
     return EnergyDensity(value, regularized=False)
 
 
@@ -199,7 +220,7 @@ def combined_stack_energy(a: float, x: float) -> EnergyDensity:
     """
     contraction = contraction_stack_energy(a, x).value
     inflation = inflation_stack_energy(a, x).value
-    bridge = pair_interaction_energy((x - 1.0) * a).value
+    bridge = _pair_energy((x - 1.0) * a)
     return EnergyDensity(contraction + inflation + bridge, regularized=True)
 
 

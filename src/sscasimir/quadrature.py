@@ -3,17 +3,22 @@
 The integrands in this package are smooth and positive on closed shells, so
 the scheme exists for its error reporting and determinism, not feasibility:
 each panel carries the |K15 - G7| gap (floored at 50 eps of the panel's
-absolute integral so reported bands never undercut plain rounding), the
-worst panel is bisected until the summed estimate meets the relative
-tolerance, and the final value is the compensated sum of panels in
-left-to-right order, independent of the split history.
+absolute integral so reported bands never undercut plain rounding), and the
+worst panel, taken from a max-heap by error as in QUADPACK's QAG (Piessens
+et al., 1983), is bisected until the summed estimate meets the relative
+tolerance.  Both totals are exact running sums, kept as a few floats whose
+exact sum they are and read with the correctly rounded math.fsum, so a step
+costs O(log P) in the panel count P and the value is the correctly rounded
+sum of the panels, independent of the split history.  A sample that is not
+finite raises ValueError naming its node as soon as its panel is done.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 __all__ = ["QuadratureResult", "QuadratureConvergenceError", "integrate"]
 
@@ -51,6 +56,11 @@ _WG = (
     0.0,
     0.417959183673469,
 )
+# the seven symmetric node pairs; the centre node (last) is added after them
+_PAIRS = tuple(zip(_NODES[:-1], _WK[:-1], _WG[:-1]))
+# a running total's floats are shortened past this length, which is above
+# the at most ~40 that _shortened returns, so every shortening frees room
+_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -79,29 +89,61 @@ class QuadratureConvergenceError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
-    """One G7/K15 pass over [lo, hi]: (K15 value, error estimate, K15 of |f|)."""
+def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """One G7/K15 pass over [lo, hi]: (K15 value, error estimate).
+
+    Node pairs are accumulated outside-in and the centre node last, so each
+    sum is rounded in the same order on every panel.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     gauss = 0.0
     kronrod = 0.0
     resabs = 0.0
-    for node, wk, wg in zip(_NODES, _WK, _WG):
-        if node == 0.0:
-            fv = f(mid)
-            kronrod += wk * fv
-            gauss += wg * fv
-            resabs += wk * abs(fv)
-            continue
+    for node, wk, wg in _PAIRS:
         f_plus = f(mid + half * node)
         f_minus = f(mid - half * node)
         kronrod += wk * (f_plus + f_minus)
         gauss += wg * (f_plus + f_minus)
         resabs += wk * (abs(f_plus) + abs(f_minus))
+    fv = f(mid)
+    kronrod += _WK[-1] * fv
+    gauss += _WG[-1] * fv
+    resabs += _WK[-1] * abs(fv)
     value = kronrod * half
-    resabs *= abs(half)
-    err = max(abs(kronrod - gauss) * abs(half), 50.0 * _EPS * resabs)
-    return value, err, resabs
+    resabs *= half
+    err = max(abs(kronrod - gauss) * half, 50.0 * _EPS * resabs)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        _raise_non_finite(f, lo, hi, value, err)
+    return value, err
+
+
+def _raise_non_finite(f: Callable[[float], float], lo: float, hi: float,
+                      value: float, err: float) -> NoReturn:
+    """Name the first node of [lo, hi] whose sample is not finite (ValueError)."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = [mid + sign * (half * node) for node, _, _ in _PAIRS for sign in (1.0, -1.0)]
+    for x in nodes + [mid]:
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise ValueError(f"integrand is not finite at x = {x!r}: f(x) = {fx!r}")
+    raise ValueError(f"panel [{lo!r}, {hi!r}] is beyond the float range: "
+                     f"value {value!r}, error estimate {err!r}")
+
+
+def _shortened(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of terms.
+
+    math.fsum rounds an exact sum correctly, so each pass takes the rounded
+    remainder; the remainders shrink by 2^-53 or more, and the loop ends
+    when one is exactly zero (at most about 40 passes).
+    """
+    parts, negated = [], []
+    while remainder := math.fsum(terms + negated):
+        parts.append(remainder)
+        negated.append(-remainder)
+    return parts
 
 
 def integrate(
@@ -113,10 +155,16 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate f over [lo, hi] to the requested relative tolerance.
 
+    The worst panel is taken from a max-heap by error estimate (lowest panel
+    index among equal errors) and both totals are kept as exact running sums,
+    so a run costs O(P log P) in its panel count P.  The returned value is the
+    correctly rounded sum of the panel values, so it does not depend on the
+    order in which panels happened to be refined.
+
     Raises QuadratureConvergenceError (carrying the best estimate) if the
-    evaluation budget runs out first.  The returned value is a compensated
-    sum over panels ordered by position, so it does not depend on the order
-    in which panels happened to be refined.
+    evaluation budget runs out first, and ValueError naming the node as soon
+    as a sample is not finite (or the panel, if its value or error estimate
+    is beyond the float range).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
@@ -125,25 +173,34 @@ def integrate(
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
 
-    value, err, _ = _panel(f, lo, hi)
-    panels = [(lo, hi, value, err)]
+    value, err = _panel(f, lo, hi)
+    # heap entries (-error, panel index, lo, hi, value): the index is unique,
+    # so entries never compare past it
+    heap = [(-err, 0, lo, hi, value)]
+    # floats whose exact sums are the totals over the current panels
+    values, errors = [value], [err]
     evaluations = 15
 
     while True:
-        total = math.fsum(p[2] for p in sorted(panels))
-        total_err = math.fsum(p[3] for p in panels)
+        total = math.fsum(values)
+        total_err = math.fsum(errors)
         if total_err <= rel_tol * abs(total) or total_err == 0.0:
             return QuadratureResult(total, total_err, evaluations)
         if evaluations + 30 > max_evals:
             raise QuadratureConvergenceError(total, total_err, evaluations)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        plo, phi, _, _ = panels[worst]
+        neg_err, worst, plo, phi, old = heapq.heappop(heap)
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
             # interval at floating resolution; cannot refine further
             raise QuadratureConvergenceError(total, total_err, evaluations)
-        lv, le, _ = _panel(f, plo, mid)
-        rv, re, _ = _panel(f, mid, phi)
-        panels[worst] = (plo, mid, lv, le)
-        panels.append((mid, phi, rv, re))
+        lv, le = _panel(f, plo, mid)
+        rv, re = _panel(f, mid, phi)
+        values += (-old, lv, rv)
+        errors += (neg_err, le, re)
+        if len(values) > _TERMS:
+            values, errors = _shortened(values), _shortened(errors)
+        # the left half keeps the index of the panel it replaces; the heap
+        # then holds the P old panels, so the right half gets index P
+        heapq.heappush(heap, (-le, worst, plo, mid, lv))
+        heapq.heappush(heap, (-re, len(heap), mid, phi, rv))
         evaluations += 30

@@ -293,6 +293,16 @@ class TestMain:
         else:
             assert "float range" in record["error"]
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--direction", "contraction", "--truncate", "400"], -9.411183399038191e+267),
+        (["--direction", "contraction"], 0.0),
+        (["--direction", "combined"], 0.0),
+    ])
+    def test_stack_whose_gap_numerator_overflows(self, argv, value, capsys):
+        # a (x - 1) is beyond the float range; the gaps a (x - 1) / x^k are not
+        assert main(["plates-stack", "--a", "1e308", "--x", "10"] + argv) == 0
+        assert json.loads(capsys.readouterr().out)[0]["value"] == value
+
     @pytest.mark.parametrize("argv, row, cause", [
         (["series-resum", "--coeffs", "[1,0,1]", "--x", "0.5"], ",,,", "intermediate coefficient"),
         (["plates-pair", "--a", "1e-200"], "1e-200,dirichlet,", "float range"),
@@ -321,6 +331,15 @@ class TestMain:
         assert main(argv) == 2
         (record,) = json.loads(capsys.readouterr().out)
         assert "value" not in record and "non-positive" in record["error"]
+
+    def test_overflowing_integrand_is_an_error_row(self, capsys):
+        # g = t = 1e-320 makes q^2 / g overflow at every node; the row names
+        # the first node at once instead of refining until panels collapse
+        argv = ["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1",
+                "--t", "1e-320", "--K", "0", "--L", "0"]
+        assert main(argv) == 2
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["error"] == "integrand is not finite at x = 0.9978638427802032: f(x) = inf"
 
     def test_negative_value_in_exponent_form(self, capsys):
         assert main(["series-resum", "--coeffs", "[1,1,1]", "--x", "-9.9e-05"]) == 0

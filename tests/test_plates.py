@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from sscasimir.plates import (
     stack_energy,
     truncated_stack_energy,
 )
+from sscasimir.series import regularized_geometric_sum
 
 PI_SQ = math.pi ** 2
 
@@ -388,6 +390,19 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="float range"):
             truncated_stack_energy(config)
 
+    def test_contraction_gaps_whose_numerator_overflows(self):
+        # a (x - 1) is beyond the float range, the gaps a (x - 1) / x^k and
+        # their energies are not (the last gap is 9e-91)
+        config = StackConfig(1e308, 10.0, StackDirection.CONTRACTION, truncation=400)
+        exact = sum(-Fraction(PI_SQ) / (1440 * (Fraction(1e308) * 9 / 10 ** k) ** 3) for k in range(1, 400))
+        assert truncated_stack_energy(config).value == pytest.approx(float(exact), rel=1e-14)
+
+    @pytest.mark.parametrize("energy", [contraction_stack_energy, combined_stack_energy])
+    def test_infinite_stacks_whose_numerator_overflows_are_their_limit(self, energy):
+        # the first contraction gap, 9e307, has a pair energy below the float
+        # range and the bridging gap, 9e308, is beyond it: the limit is 0
+        assert energy(1e308, 10.0).value == 0.0
+
     def test_truncated_normal_path_is_bit_identical(self):
         for a in GRID_A:
             for x in GRID_X:
@@ -405,3 +420,8 @@ class TestFloatRange:
             for x in GRID_X:
                 expected = -PI_SQ / (1440.0 * a ** 3 * (x - 1.0) ** 3 * (x ** 3 - 1.0))
                 assert inflation_stack_energy(a, x).value == expected
+                first_pair = pair_interaction_energy(a * (x - 1.0) / x).value
+                contraction = regularized_geometric_sum(first_pair, x ** 3)
+                assert contraction_stack_energy(a, x).value == contraction
+                bridge = pair_interaction_energy((x - 1.0) * a).value
+                assert combined_stack_energy(a, x).value == contraction + expected + bridge

@@ -1,8 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from sscasimir import quadrature
+from sscasimir.gaussian import LGParams, kernel
 from sscasimir.quadrature import QuadratureConvergenceError, QuadratureResult, integrate
 
 
@@ -74,3 +79,173 @@ class TestIntegrate:
             QuadratureResult(math.nan, 0.0, 15)
         with pytest.raises(ValueError):
             QuadratureResult(1.0, -1.0, 15)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the refinement order: the plain O(P^2 log P) list-of-panels loop
+# (re-sort, fsum every value and error, and scan for the worst panel at each
+# step) with a G7/K15 panel that branches on the centre node.  integrate must
+# refine the same panels in the same order, so every returned or raised
+# number is bit-identical to it.
+
+def _oracle_panel(f, lo, hi):
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    gauss = 0.0
+    kronrod = 0.0
+    resabs = 0.0
+    for node, wk, wg in zip(quadrature._NODES, quadrature._WK, quadrature._WG):
+        if node == 0.0:
+            fv = f(mid)
+            kronrod += wk * fv
+            gauss += wg * fv
+            resabs += wk * abs(fv)
+            continue
+        f_plus = f(mid + half * node)
+        f_minus = f(mid - half * node)
+        kronrod += wk * (f_plus + f_minus)
+        gauss += wg * (f_plus + f_minus)
+        resabs += wk * (abs(f_plus) + abs(f_minus))
+    value = kronrod * half
+    resabs *= abs(half)
+    err = max(abs(kronrod - gauss) * abs(half), 50.0 * quadrature._EPS * resabs)
+    return value, err
+
+
+def _oracle_integrate(f, lo, hi, rel_tol=1e-10, max_evals=10 ** 6):
+    """(outcome, number of steps whose worst panel was tied with another)."""
+    value, err = _oracle_panel(f, lo, hi)
+    panels = [(lo, hi, value, err)]
+    evaluations = 15
+    ties = 0
+    while True:
+        total = math.fsum(p[2] for p in sorted(panels))
+        total_err = math.fsum(p[3] for p in panels)
+        if total_err <= rel_tol * abs(total) or total_err == 0.0:
+            return QuadratureResult(total, total_err, evaluations), ties
+        if evaluations + 30 > max_evals:
+            return QuadratureConvergenceError(total, total_err, evaluations), ties
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        ties += sum(p[3] == panels[worst][3] for p in panels) > 1
+        plo, phi, _, _ = panels[worst]
+        mid = 0.5 * (plo + phi)
+        if mid <= plo or mid >= phi:
+            return QuadratureConvergenceError(total, total_err, evaluations), ties
+        lv, le = _oracle_panel(f, plo, mid)
+        rv, re = _oracle_panel(f, mid, phi)
+        panels[worst] = (plo, mid, lv, le)
+        panels.append((mid, phi, rv, re))
+        evaluations += 30
+
+
+def _bits(outcome):
+    if isinstance(outcome, QuadratureResult):
+        return outcome.value.hex(), outcome.abs_error_estimate.hex(), outcome.evaluations
+    return str(outcome), outcome.value.hex(), outcome.abs_error_estimate.hex(), outcome.evaluations
+
+
+def _assert_same_as_oracle(f, lo, hi, **kwargs):
+    """Compare integrate with the oracle bit for bit; returns the oracle's tie count."""
+    expected, ties = _oracle_integrate(f, lo, hi, **kwargs)
+    try:
+        got = integrate(f, lo, hi, **kwargs)
+    except QuadratureConvergenceError as exc:
+        got = exc
+    assert _bits(got) == _bits(expected)
+    return ties
+
+
+def _peak(p, w):
+    return lambda x: 1.0 / ((x - p) ** 2 + w * w)
+
+
+# The benchmark's below-cliff shell integrand: a peaked quartic kernel whose
+# own rounding near the peak keeps refinement from ever meeting 1e-10.
+_CLIFF_PARAMS = LGParams(t=1.3550048977326725, K=4.200044624973002, L=0.926576418276182,
+                         higher=(-3.608140775341437, 1.0))
+
+
+def _below_cliff(q):
+    return q ** 3 / kernel(_CLIFF_PARAMS, q)
+
+
+_CLIFF_SHELL = (1.968013745306391 / 1.6771105877512666, 1.968013745306391)
+
+
+class TestRefinementOrder:
+    @pytest.mark.parametrize("max_evals", [75, 255, 1005, 3015])
+    @pytest.mark.parametrize("f", [
+        lambda x: 1.0 / (1.0 + 100.0 * x * x),
+        lambda x: math.sqrt(abs(x)),
+        lambda x: math.exp(-1e4 * (abs(x) - 0.5) ** 2),
+        lambda x: math.copysign(math.sqrt(abs(x)), x),
+        lambda x: math.sin(20.0 * x) / (1.0 + x * x),
+    ])
+    def test_symmetric_integrands_break_ties_by_lowest_index(self, f, max_evals):
+        # Panels mirrored about 0 carry exactly equal errors.  Even integrands
+        # reach the same totals whichever tied panel goes first; odd ones flip
+        # the sign of the value, so a budget that runs out between two tied
+        # splits shows which one went first.
+        assert _assert_same_as_oracle(f, -1.0, 1.0, max_evals=max_evals) > 0
+
+    @pytest.mark.parametrize("p, w", [(0.5, 1e-3), (0.1234, 1e-4), (0.0, 1e-2), (0.9999, 1e-5)])
+    def test_peaked_integrands(self, p, w):
+        _assert_same_as_oracle(_peak(p, w), 0.0, 1.0)
+
+    @pytest.mark.parametrize("f, lo, hi, rel_tol, max_evals", [
+        (lambda x: math.sin(40.0 * x) ** 2 + 1e-3, 0.0, 10.0, 1e-12, 45),
+        (_below_cliff, *_CLIFF_SHELL, 1e-10, 3015),
+    ])
+    def test_budget_limited_runs(self, f, lo, hi, rel_tol, max_evals):
+        _assert_same_as_oracle(f, lo, hi, rel_tol=rel_tol, max_evals=max_evals)
+
+    def test_below_cliff_budget_is_spent_exactly(self):
+        # never converging, it splits 3332 times, the most that fit in the
+        # budget: 15 + 30 * 3332 evaluations over 3333 panels
+        _assert_same_as_oracle(_below_cliff, *_CLIFF_SHELL, max_evals=10 ** 5)
+        with pytest.raises(QuadratureConvergenceError) as excinfo:
+            integrate(_below_cliff, *_CLIFF_SHELL, max_evals=10 ** 5)
+        assert excinfo.value.evaluations == 99975
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(-0.5, 1.5), log_w=st.floats(-4.0, 0.0), log_tol=st.floats(-13.0, -4.0))
+    def test_peak_position_width_and_tolerance(self, p, log_w, log_tol):
+        _assert_same_as_oracle(_peak(p, 10.0 ** log_w), 0.0, 1.0, rel_tol=10.0 ** log_tol)
+
+
+class TestNonFiniteSamples:
+    @staticmethod
+    def _counted(f):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return f(x)
+        return wrapped, calls
+
+    @pytest.mark.parametrize("f, message", [
+        (lambda x: math.nan, "integrand is not finite at x = 0.9957276855604065: f(x) = nan"),
+        (lambda x: math.inf if x == 0.5 else 1.0, "integrand is not finite at x = 0.5: f(x) = inf"),
+    ])
+    def test_raises_after_one_panel(self, f, message):
+        # the first panel's 15 samples decide; naming the node re-evaluates
+        # that panel's nodes up to the first sample that is not finite, so no
+        # point outside the first panel is ever sampled
+        wrapped, calls = self._counted(f)
+        with pytest.raises(ValueError) as excinfo:
+            integrate(wrapped, 0.0, 1.0)
+        assert str(excinfo.value) == message
+        assert len(set(calls)) <= 15
+        assert len(calls) <= 30
+
+    def test_panel_beyond_float_range(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            integrate(lambda x: 1e308, 0.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)))
+def test_shortened_running_sum_is_exact(terms):
+    parts = quadrature._shortened(terms)
+    assert sum(map(Fraction, parts)) == sum(map(Fraction, terms))
+    assert len(parts) <= 40 and 0.0 not in parts
