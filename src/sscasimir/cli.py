@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import gaussian, plates, series
 from .quadrature import QuadratureConvergenceError
 
@@ -254,6 +252,8 @@ def _rescale(p):
 
 
 def _lattice(p):
+    import numpy as np
+
     rng = np.random.default_rng(p["seed"])
     shape = (p["sites"],) if p["d"] == 1 else (p["sites"], p["sites"])
     lattice = gaussian.LatticeField(values=rng.standard_normal(shape), spacing=1.0)

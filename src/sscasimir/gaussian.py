@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .quadrature import QuadratureConvergenceError, QuadratureResult, integrate
+
+# numpy is imported only where an array is made: the other layers and the
+# commands that do not use it start without its import time
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LGParams",
@@ -304,6 +307,8 @@ def fit_power_law(samples: Iterable[tuple[float, float]]) -> tuple[float, float]
     positive scales and same-sign nonzero energies, so the log is defined
     and the sign carries no information.
     """
+    import numpy as np
+
     pts = list(samples)
     if len(pts) < 3:
         raise ValueError("power-law fit needs at least 3 samples")
@@ -392,6 +397,8 @@ class LatticeField:
     spacing: float
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim not in (1, 2):
@@ -420,6 +427,8 @@ def parseval_residuals(lattice: LatticeField) -> tuple[float, float]:
     (2/h)^2 sin^2(q h / 2), so the identities are exact at any size and the
     residuals measure only floating-point transform error.
     """
+    import numpy as np
+
     phi = lattice.values
     h = lattice.spacing
     d = lattice.dim

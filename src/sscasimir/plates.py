@@ -122,10 +122,16 @@ def _minus_pi_sq_over(denominator: float) -> float:
 def _pair_energy(gap: float) -> float:
     """Dirichlet pair energy -pi^2/(1440 gap^3) of a positive gap, inf allowed.
 
+    Where 1440 gap^3 overflows but the gap is a float (about 6e101 and up),
+    the energy is divided out one factor of the gap at a time, so it keeps
+    its normal or subnormal value and is -0.0 only below the float range.
     A gap beyond the float range (inf) gives the limit -0.0; one that
     underflows to 0 has an energy beyond the range (ValueError).
     """
-    return _minus_pi_sq_over(1440.0 * _power(gap, 3))
+    denominator = 1440.0 * _power(gap, 3)
+    if denominator == math.inf and gap != math.inf:
+        return -_PI_SQ / 1440.0 / gap / gap / gap
+    return _minus_pi_sq_over(denominator)
 
 
 def _contraction_gap(a: float, x: float, k: int) -> float:
@@ -147,8 +153,9 @@ def pair_interaction_energy(a: float, kind: FieldKind = FieldKind.DIRICHLET_SCAL
     """Interaction energy per unit area of two plates at spacing a.
 
     -pi^2/(1440 a^3) for a Dirichlet scalar; exactly twice that for the
-    electromagnetic field.  A spacing whose cube is beyond the float range
-    gives -0.0; one whose energy is beyond it raises ValueError.
+    electromagnetic field.  A spacing above about 1e107, whose energy is
+    below the float range in magnitude, gives -0.0; one whose energy is
+    beyond the float range raises ValueError.
     """
     _check_spacing(a)
     value = _pair_energy(a)
@@ -207,7 +214,9 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
         gaps = (_power(x, k) * a * (x - 1.0) for k in range(1, n))
     else:
         gaps = (_contraction_gap(a, x, k) for k in range(1, n))
-    value = math.fsum(_pair_energy(g) for g in gaps)
+    # every term is <= 0, so a sum that underflows to zero is the limit -0.0
+    # (fsum of -0.0 terms is 0.0)
+    value = math.fsum(_pair_energy(g) for g in gaps) or -0.0
     return EnergyDensity(value, regularized=False)
 
 

@@ -8,14 +8,18 @@ but rewriting it as a nested continued fraction
 and following the sequence of truncations assigns it a finite value that,
 for a geometric series, coincides with the analytic continuation
 a0 / (1 - x).  The coefficient transform here is the classical
-successive-division scheme: match the formal expansion of the fraction to
-the input series order by order.
+successive-division scheme, in Viskovatov's triangular form: match the
+formal expansion of the fraction to the input series order by order, one
+input coefficient at a time, so the scan can stop at the accepted
+convergent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator, Sequence
 
 __all__ = [
     "PowerSeries",
@@ -127,17 +131,48 @@ def regularized_geometric_sum(a0: float, x: float) -> float:
     return a0 / (1.0 - x)
 
 
-def _divide_series(num: list[float], den: list[float], order: int) -> list[float]:
-    # quotient of two formal series to the given number of coefficients;
-    # den[0] is checked by the caller
-    q = []
-    for k in range(order):
-        acc = num[k] if k < len(num) else 0.0
-        for j in range(1, k + 1):
-            if j < len(den):
-                acc -= den[j] * q[k - j]
-        q.append(acc / den[0])
-    return q
+def _add_input(rows: list[list[float]], a: float) -> None:
+    # row 0 gains input coefficient a; each row j >= 1 then gains its next
+    # entry i from row j - 1 (entries 0..i+1, head nonvanishing) and its own
+    # entries 0..i-1: the order-i coefficient of -(row j-1 shifted down one
+    # power of x) / (row j-1)
+    rows[0].append(a)
+    for upper, row in zip(rows, rows[1:]):
+        acc = -upper[len(row) + 1]
+        for q, u in zip(reversed(row), islice(upper, 1, None)):
+            acc -= u * q
+        row.append(acc / upper[0])
+
+
+def _fraction_coefficients(coeffs: tuple[float, ...]) -> Iterator[float]:
+    """Yield b0, b1, ... of the fraction one at a time (Viskovatov's tableau).
+
+    Row j of the triangular tableau is the series whose constant term is
+    b_j; row 0 is the input.  Each input coefficient a_m adds entry m - j to
+    every row j < m and starts row m, whose head is b_m: a caller that
+    stops after b_k pays only for a_0..a_k.  A head below _VANISHING ends
+    the fraction with zeros if its whole row vanishes and is degenerate
+    otherwise; deciding that takes the whole row, so the tableau is then
+    completed with the remaining input.
+    """
+    if abs(coeffs[0]) < _VANISHING:
+        raise NormalizationError("leading coefficient a0 must be nonzero")
+    rows: list[list[float]] = []
+    inputs = iter(coeffs)
+    for a in inputs:
+        rows.append([])
+        _add_input(rows, a)
+        lead = rows[-1][0]
+        if abs(lead) < _VANISHING:
+            for rest in inputs:
+                _add_input(rows, rest)
+            if not all(abs(c) < _VANISHING for c in rows[-1]):
+                raise DegenerateSeriesError(
+                    "intermediate coefficient ~0; series has no fraction of this form"
+                )
+            yield from [0.0] * len(rows[-1])
+            return
+        yield lead
 
 
 def to_continued_fraction(series: PowerSeries) -> ContinuedFraction:
@@ -148,30 +183,20 @@ def to_continued_fraction(series: PowerSeries) -> ContinuedFraction:
     remainder vanishes identically the fraction terminates; the tail is
     padded with zeros so one b_i exists per input coefficient.
     """
-    coeffs = list(series.coefficients)
-    n = len(coeffs)
-    if abs(coeffs[0]) < _VANISHING:
-        raise NormalizationError("leading coefficient a0 must be nonzero")
+    return ContinuedFraction(tuple(_fraction_coefficients(series.coefficients)))
 
-    b = []
-    current = coeffs  # series whose constant term is the next b
-    while len(b) < n:
-        lead = current[0]
-        if abs(lead) < _VANISHING:
-            if all(abs(c) < _VANISHING for c in current):
-                b.extend([0.0] * (n - len(b)))
-                break
-            raise DegenerateSeriesError(
-                "intermediate coefficient ~0; series has no fraction of this form"
-            )
-        b.append(lead)
-        if len(b) == n:
-            break
-        # lead - current has zero constant term; shift one power of x down,
-        # then divide by current to get the next level of the fraction
-        shifted = [-c for c in current[1:]]
-        current = _divide_series(shifted, current, len(current) - 1)
-    return ContinuedFraction(tuple(b))
+
+def _convergent(b: Sequence[float], x: float, k: int) -> float:
+    # truncation k of the fraction (b_0..b_{k-1}), innermost level first;
+    # nan where a denominator is exactly zero
+    acc = 0.0
+    for i in range(k - 1, 0, -1):
+        den = 1.0 + acc
+        if den == 0.0:
+            return math.nan
+        acc = b[i] * x / den
+    den = 1.0 + acc
+    return b[0] / den if den != 0.0 else math.nan
 
 
 def convergents(cf: ContinuedFraction, x: float, n: int) -> list[float]:
@@ -185,23 +210,7 @@ def convergents(cf: ContinuedFraction, x: float, n: int) -> list[float]:
         raise ValueError("need at least one convergent")
     if n > len(cf.coefficients):
         raise ValueError(f"requested {n} convergents from {len(cf.coefficients)} coefficients")
-    b = cf.coefficients
-    out = []
-    for k in range(1, n + 1):
-        acc = 0.0
-        ok = True
-        for i in range(k - 1, 0, -1):
-            den = 1.0 + acc
-            if den == 0.0:
-                ok = False
-                break
-            acc = b[i] * x / den
-        if ok:
-            den = 1.0 + acc
-            out.append(b[0] / den if den != 0.0 else math.nan)
-        else:
-            out.append(math.nan)
-    return out
+    return [_convergent(cf.coefficients, x, k) for k in range(1, n + 1)]
 
 
 def self_similar_sum(series: PowerSeries, x: float, tol: float = 1e-10) -> RegularizedSum:
@@ -210,25 +219,35 @@ def self_similar_sum(series: PowerSeries, x: float, tol: float = 1e-10) -> Regul
     Converged means two successive defined convergents agree within tol;
     the reported value is the later of the pair.  With no such pair the
     best (last defined) convergent is returned with converged False.
+
+    Fraction coefficients are produced one at a time and the scan stops at
+    the accepted convergent.  A level of the fraction whose leading
+    coefficient is below 1e-300 ends it with zeros if the whole level
+    vanishes; otherwise the series has no fraction of this form, and
+    DegenerateSeriesError is raised only if no convergent built from the
+    levels above it was accepted.  to_continued_fraction, which needs every
+    level, raises it for such a series whatever x is.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    cf = to_continued_fraction(series)
-    seq = convergents(cf, x, len(cf))
-
-    defined = [(i, v) for i, v in enumerate(seq) if not math.isnan(v)]
-    if len(defined) < 2:
+    b: list[float] = []
+    previous, result = None, None
+    for coefficient in _fraction_coefficients(series.coefficients):
+        b.append(coefficient)
+        value = _convergent(b, x, len(b))
+        if math.isnan(value):
+            continue
+        if previous is not None:
+            residual = abs(value - previous)
+            result = RegularizedSum(value, residual <= tol, len(b), residual)
+            if result.converged:
+                return result
+        previous = value
+    if result is None:
         raise InsufficientConvergentsError(
             "fewer than two defined convergents; cannot assess convergence"
         )
-    prev_val = defined[0][1]
-    for idx, val in defined[1:]:
-        residual = abs(val - prev_val)
-        if residual <= tol:
-            return RegularizedSum(val, True, idx + 1, residual)
-        prev_val = val
-    last_idx, last_val = defined[-1]
-    return RegularizedSum(last_val, False, last_idx + 1, abs(last_val - defined[-2][1]))
+    return result
 
 
 def project_to_circle(t: float) -> tuple[float, float]:

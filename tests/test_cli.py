@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +308,17 @@ class TestMain:
         assert main(["plates-stack", "--a", "1e308", "--x", "10"] + argv) == 0
         assert json.loads(capsys.readouterr().out)[0]["value"] == value
 
+    @pytest.mark.parametrize("a", ["1e103", "1e200"])
+    def test_truncated_stack_beyond_the_cube_range(self, a, capsys):
+        # gaps 2a and 4a: at 1e103 the energies are subnormal floats (the
+        # stack printed 0.0 when each cube overflowed to an energy of -0.0);
+        # at 1e200 they are below the float range and the limit is -0.0
+        argv = ["plates-stack", "--a", a, "--x", "2", "--direction", "inflation", "--truncate", "3"]
+        assert main(argv) == 0
+        value = json.loads(capsys.readouterr().out)[0]["value"]
+        exact = sum(-Fraction(PI_SQ) / (1440 * (Fraction(float(a)) * g) ** 3) for g in (2, 4))
+        assert value == float(exact) and math.copysign(1.0, value) == -1.0
+
     @pytest.mark.parametrize("argv, row, cause", [
         (["series-resum", "--coeffs", "[1,0,1]", "--x", "0.5"], ",,,", "intermediate coefficient"),
         (["plates-pair", "--a", "1e-200"], "1e-200,dirichlet,", "float range"),
@@ -345,3 +361,32 @@ class TestMain:
         assert main(["series-resum", "--coeffs", "[1,1,1]", "--x", "-9.9e-05"]) == 0
         (record,) = json.loads(capsys.readouterr().out)
         assert record["value"] == pytest.approx(1.0 / (1.0 + 9.9e-05), rel=1e-8)
+
+
+_NO_ARRAYS = [
+    ["plates-pair", "--a", "1.0"],
+    ["series-resum", "--coeffs", "[1,1,1,1,1]", "--x", "2"],
+    ["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1", "--t", "1", "--K", "1"],
+    ["gaussian-rg", "--d", "3", "--b", "2", "--B", "auto", "--t", "1", "--K", "1", "--L", "1"],
+]
+
+_IMPORT_CHECK = """
+import contextlib, io, json, sys
+from sscasimir.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["lattice-check", "--d", "2", "--sites", "8", "--seed", "7"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_commands_without_arrays_do_not_import_numpy():
+    # a fresh interpreter: this test process has imported numpy already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, json.dumps(_NO_ARRAYS)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -366,7 +366,25 @@ class TestFloatRange:
         assert got == pytest.approx(truncated_closed_form(1.0, x, n_plates), rel=1e-12)
 
     def test_pair_beyond_float_range_is_minus_zero(self):
-        value = pair_interaction_energy(1e103).value
+        # 1e108 cubed overflows and -pi^2/(1440 a^3), ~7e-327, is below the
+        # smallest subnormal
+        value = pair_interaction_energy(1e108).value
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    @pytest.mark.parametrize("a", [6.8e101, 1e103, 1e104, 5.7e102, 3e106, 1e107])
+    def test_pair_whose_cube_overflows_keeps_its_value(self, a):
+        # 1440 a^3 is beyond the float range, -pi^2/(1440 a^3) is a normal
+        # or subnormal float: four roundings, the last maybe subnormal
+        exact = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3)
+        for kind, scale in ((FieldKind.DIRICHLET_SCALAR, 1), (FieldKind.ELECTROMAGNETIC, 2)):
+            got = pair_interaction_energy(a, kind).value
+            assert got < 0.0
+            assert abs(Fraction(got) - scale * exact) <= 5e-16 * abs(scale * exact) + 2.0 ** -1074
+
+    def test_truncated_stack_whose_terms_all_underflow_is_minus_zero(self):
+        # fsum of the -0.0 pair energies is 0.0; the attractive limit is -0.0
+        config = StackConfig(1e200, 2.0, StackDirection.INFLATION, truncation=3)
+        value = truncated_stack_energy(config).value
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
     def test_inflation_beyond_float_range_is_minus_zero(self):

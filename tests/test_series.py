@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sscasimir.series import (
@@ -11,6 +12,7 @@ from sscasimir.series import (
     InsufficientConvergentsError,
     NormalizationError,
     PowerSeries,
+    RegularizedSum,
     SingularInputError,
     convergents,
     project_to_circle,
@@ -223,6 +225,206 @@ class TestSelfSimilarSum:
         assert abs(out.value - target) <= 10 * tol * max(1.0, abs(target))
 
 
+# The level-by-level transform and scan that the incremental tableau replaced,
+# kept as the oracle.  The only departure from that code: the degenerate
+# error carries the coefficients found before the degenerate level.
+
+
+class OldDegenerate(Exception):
+    def __init__(self, prefix):
+        super().__init__("intermediate coefficient ~0")
+        self.prefix = prefix
+
+
+def old_divide_series(num, den, order):
+    q = []
+    for k in range(order):
+        acc = num[k] if k < len(num) else 0.0
+        for j in range(1, k + 1):
+            if j < len(den):
+                acc -= den[j] * q[k - j]
+        q.append(acc / den[0])
+    return q
+
+
+def old_to_continued_fraction(coeffs):
+    coeffs = list(coeffs)
+    n = len(coeffs)
+    if abs(coeffs[0]) < 1e-300:
+        raise NormalizationError("leading coefficient a0 must be nonzero")
+    b = []
+    current = coeffs
+    while len(b) < n:
+        lead = current[0]
+        if abs(lead) < 1e-300:
+            if all(abs(c) < 1e-300 for c in current):
+                b.extend([0.0] * (n - len(b)))
+                break
+            raise OldDegenerate(b)
+        b.append(lead)
+        if len(b) == n:
+            break
+        shifted = [-c for c in current[1:]]
+        current = old_divide_series(shifted, current, len(current) - 1)
+    return b
+
+
+def old_convergents(b, x, n):
+    out = []
+    for k in range(1, n + 1):
+        acc = 0.0
+        ok = True
+        for i in range(k - 1, 0, -1):
+            den = 1.0 + acc
+            if den == 0.0:
+                ok = False
+                break
+            acc = b[i] * x / den
+        if ok:
+            den = 1.0 + acc
+            out.append(b[0] / den if den != 0.0 else math.nan)
+        else:
+            out.append(math.nan)
+    return out
+
+
+def old_scan(b, x):
+    # the former self_similar_sum after its transform, tol = 1e-10
+    tol = 1e-10
+    seq = old_convergents(b, x, len(b))
+    defined = [(i, v) for i, v in enumerate(seq) if not math.isnan(v)]
+    if len(defined) < 2:
+        raise InsufficientConvergentsError("fewer than two defined convergents")
+    prev_val = defined[0][1]
+    for idx, val in defined[1:]:
+        residual = abs(val - prev_val)
+        if residual <= tol:
+            return RegularizedSum(val, True, idx + 1, residual)
+        prev_val = val
+    last_idx, last_val = defined[-1]
+    return RegularizedSum(last_val, False, last_idx + 1, abs(last_val - defined[-2][1]))
+
+
+def expected_sum(coeffs, x):
+    """The former self_similar_sum, except that a convergent accepted before
+    the degenerate level is returned instead of the error."""
+    try:
+        b = old_to_continued_fraction(coeffs)
+    except OldDegenerate as err:
+        try:
+            accepted = old_scan(err.prefix, x)
+        except InsufficientConvergentsError:
+            accepted = None
+        if accepted is None or not accepted.converged:
+            raise DegenerateSeriesError("intermediate coefficient ~0") from None
+        return accepted
+    return old_scan(b, x)
+
+
+def outcome(fn, *args):
+    """What a call returned, floats as hex, or the class of the error it raised."""
+    try:
+        got = fn(*args)
+    except (NormalizationError, DegenerateSeriesError, InsufficientConvergentsError) as err:
+        return type(err).__name__
+    except OldDegenerate:
+        return "DegenerateSeriesError"
+    if isinstance(got, RegularizedSum):
+        return (got.value.hex(), got.converged, got.convergents_used, got.residual.hex())
+    return [c.hex() for c in (got.coefficients if isinstance(got, ContinuedFraction) else got)]
+
+
+def assert_same_as_old(coeffs, x):
+    coeffs = tuple(float(c) for c in coeffs)
+    series = PowerSeries(coeffs)
+    b = outcome(to_continued_fraction, series)
+    assert b == outcome(old_to_continued_fraction, coeffs)
+    if isinstance(b, list):
+        cf = ContinuedFraction(tuple(float.fromhex(c) for c in b))
+        assert outcome(convergents, cf, x, len(b)) == outcome(old_convergents, cf.coefficients, x, len(b))
+    assert outcome(self_similar_sum, series, x) == outcome(expected_sum, coeffs, x)
+
+
+def rounded_geometric(a0, r, n):
+    return [a0 * r ** i for i in range(n)]
+
+
+class TestIncrementalTableau:
+    """The tableau builds the former transform's coefficients bit for bit
+    and self_similar_sum stops at the convergent the former scan accepted."""
+
+    @given(
+        coeffs=st.lists(
+            st.one_of(st.floats(min_value=-4, max_value=4), st.integers(-2, 2).map(float)),
+            min_size=1, max_size=60,
+        ),
+        x=st.floats(min_value=-5, max_value=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_prefixes_match_the_former_transform(self, coeffs, x):
+        assert_same_as_old(coeffs, x)
+
+    @pytest.mark.parametrize(
+        "coeffs, x",
+        [
+            (rounded_geometric(1.3, 0.3067737357005033 / 1.3, 6), -2.818346432129218),
+            (rounded_geometric(-0.7, 2.9, 30), 0.2),
+            (rounded_geometric(1.1, -1.7, 25), 2.5),
+            ([float((-1) ** i * math.factorial(i)) for i in range(40)], 0.05),
+            ([float((-1) ** i * math.factorial(i)) for i in range(60)], 0.1),
+            ([1.0, 2.0, 4.0, 8.0] + [0.0] * 12, 0.25),
+            ([3.0, -1.0] + [0.0] * 20, 4.0),
+            ([1.0, 0.0, 0.0, 1.0], 0.5),
+            ([1.0, 0.0, 4.0, 0.0, 16.0, 0.0, 64.0], 0.3),
+            ([1.0, 2.0, -1.0, 1.0, -1.0, 1.0, 2.0, 2.0, 0.0, -1.0, -1.0, -1.0, 0.0], 0.25),
+            ([1e-310, 1.0, 2.0], 0.5),
+            ([2.0, 1e-305, 1e-305], 1.5),
+        ],
+    )
+    def test_families_match_the_former_transform(self, coeffs, x):
+        assert_same_as_old(coeffs, x)
+
+    def test_degenerate_level_after_the_accepted_convergent(self):
+        # the former code raised DegenerateSeriesError here: level 8 of the
+        # fraction is degenerate, but convergents 5 and 6 agree exactly
+        coeffs = (1.0, 2.0, -1.0, 1.0, -1.0, 1.0, 2.0, 2.0, 0.0, -1.0, -1.0, -1.0, 0.0)
+        with pytest.raises(OldDegenerate):
+            old_to_continued_fraction(coeffs)
+        out = self_similar_sum(PowerSeries(coeffs), 0.25)
+        assert (out.value, out.converged, out.convergents_used) == (1.45, True, 6)
+        # oracle: convergent 6 of the exact-rational fraction of a_0..a_5
+        b = [Fraction(c) for c in old_to_continued_fraction([Fraction(c) for c in coeffs[:6]])]
+        exact = Fraction(0)
+        for bk in reversed(b[1:]):
+            exact = bk * Fraction(1, 4) / (1 + exact)
+        assert b[0] / (1 + exact) == Fraction(29, 20)
+        assert out.value == float(Fraction(29, 20))
+        with pytest.raises(DegenerateSeriesError):
+            to_continued_fraction(PowerSeries(coeffs))
+
+    @pytest.mark.parametrize(
+        "coeffs, x, terminating, value",
+        [
+            # 1/(1 - r x) rounded: level 2 starts with an exact zero and the
+            # rest of it is rounding noise
+            (rounded_geometric(1.3, 0.3067737357005033 / 1.3, 6), -2.818346432129218, 4,
+             0.780746635160357),
+            # 1/(1 - 4 x^2): level 1 starts with an exact zero and the rest
+            # of it is not small
+            ([1.0, 0.0, 4.0, 0.0, 16.0, 0.0, 64.0], 0.3, 2, 1.0),
+        ],
+    )
+    def test_zero_head_of_a_degenerate_level_is_no_convergent(self, coeffs, x, terminating, value):
+        # a convergent ending with that zero would repeat the one before it
+        # and be accepted: right for the first series, wrong for the second
+        # (1/(1 - 0.36) = 1.5625).  Both raise, as before
+        with pytest.raises(DegenerateSeriesError):
+            self_similar_sum(PowerSeries(tuple(coeffs)), x)
+        # a prefix whose zero level vanishes whole ends the fraction there
+        out = self_similar_sum(PowerSeries(tuple(coeffs[:terminating])), x)
+        assert (out.value, out.converged) == (value, True)
+
+
 class TestProjectToCircle:
     def test_origin_maps_to_bottom(self):
         assert project_to_circle(0.0) == (0.0, -1.0)
@@ -249,17 +451,38 @@ class TestProjectToCircle:
         px, py = project_to_circle(t)
         assert abs(px * px + py * py - 1.0) <= 1e-12
 
+    @staticmethod
+    def angle_from_bottom(t):
+        # atan2(px, -py) grows from 0 at the bottom towards pi at the pole;
+        # exactly, it is 2 atan(t)
+        px, py = project_to_circle(t)
+        return math.atan2(px, -py)
+
     @given(
         t1=st.floats(min_value=0, max_value=1e12),
         t2=st.floats(min_value=0, max_value=1e12),
     )
     @settings(max_examples=300)
     def test_angle_from_bottom_monotone(self, t1, t2):
-        assume(t2 - t1 > 1e-9 * (1.0 + t1))
-        # atan2(px, -py) grows from 0 at the bottom towards pi at the pole
-        angle1 = math.atan2(project_to_circle(t1)[0], -project_to_circle(t1)[1])
-        angle2 = math.atan2(project_to_circle(t2)[0], -project_to_circle(t2)[1])
-        assert angle1 < angle2
+        # the exact angle gap 2 (atan t2 - atan t1) must exceed the rounding
+        # of two angles near pi
+        assume(t1 < t2)
+        assume(2.0 * math.atan((t2 - t1) / (1.0 + t1 * t2)) > 4 * math.ulp(math.pi))
+        assert self.angle_from_bottom(t1) < self.angle_from_bottom(t2)
+
+    @given(
+        t1=st.floats(min_value=0, max_value=1e12),
+        t2=st.floats(min_value=0, max_value=1e12),
+    )
+    @example(t1=509873650901.0, t2=509873651411.0)  # true angles 4e-21 apart
+    @settings(max_examples=300)
+    def test_angle_from_bottom_never_goes_back(self, t1, t2):
+        # closer pairs than the strict test admits: no step back beyond the
+        # angle's own rounding (adjacent floats such as 0.34301701820918457
+        # and the next one above it go back by one ulp)
+        assume(t1 < t2)
+        angle1 = self.angle_from_bottom(t1)
+        assert angle1 <= self.angle_from_bottom(t2) + 2 * math.ulp(angle1)
 
 
 class TestPowerSeriesValidation:
