@@ -178,6 +178,46 @@ def kernel(params: LGParams, q: float) -> float:
     return acc
 
 
+def _integrand(coeffs: Sequence[float], d: int):
+    """The shell integrand q -> q^(d-1) / g(q^2) of g = sum coeffs[m] u^m.
+
+    coeffs holds at least three coefficients; g is evaluated in kernel's
+    order, t + u (K + u L) and then each higher term left to right, so the
+    samples are kernel's bits.  Up to two higher terms are unrolled and more
+    run a loop; padding to one degree would turn an overflowing u^3 or u^4
+    into nan (0 * inf).
+    """
+    t, K, L, *higher = coeffs
+    p = d - 1
+    if not higher:
+        def f(q):
+            u = q * q
+            return q ** p / (t + u * (K + u * L))
+    elif len(higher) == 1:
+        h0, = higher
+
+        def f(q):
+            u = q * q
+            return q ** p / (t + u * (K + u * L) + h0 * (u * u * u))
+    elif len(higher) == 2:
+        h0, h1 = higher
+
+        def f(q):
+            u = q * q
+            u3 = u * u * u
+            return q ** p / (t + u * (K + u * L) + h0 * u3 + h1 * (u3 * u))
+    else:
+        def f(q):
+            u = q * q
+            acc = t + u * (K + u * L)
+            qp = u * u * u
+            for h in higher:
+                acc += h * qp
+                qp *= u
+            return q ** p / acc
+    return f
+
+
 def solid_angle(d: int) -> float:
     """Surface of the unit (d-1)-sphere, 2 pi^(d/2) / Gamma(d/2)."""
     if int(d) != d or d < 1:
@@ -241,12 +281,13 @@ def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> None:
         raise UnstableKernelError(f"kernel is non-positive for {lo!r} < q < {hi!r}")
 
 
-def _shell_integral(params: LGParams, shell: ShellSpec, integrand, pref: float,
+def _shell_integral(params: LGParams, shell: ShellSpec, coeffs: Sequence[float], pref: float,
                     scale: float = 1.0) -> QuadratureResult:
-    # pref * integral over the shell times scale, once the kernel is positive on it
+    # pref * integral of _integrand(coeffs) over the shell times scale, once
+    # the kernel is positive on the shell
     lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
     _check_positive_on(params.coefficients, lo, hi)
-    raw = integrate(integrand, lo * scale, hi * scale, rel_tol=1e-10)
+    raw = integrate(_integrand(coeffs, shell.dim), lo * scale, hi * scale, rel_tol=1e-10)
     return QuadratureResult(pref * raw.value, abs(pref) * raw.abs_error_estimate, raw.evaluations)
 
 
@@ -259,7 +300,7 @@ def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResu
     """
     d = shell.dim
     pref = -0.5 * shell.temperature ** 2 * radial_measure(d)
-    return _shell_integral(params, shell, lambda q: q ** (d - 1) / kernel(params, q), pref)
+    return _shell_integral(params, shell, params.coefficients, pref)
 
 
 def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:
@@ -278,8 +319,7 @@ def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> Quadratu
     reduced = [1.0, 1.0] + [c * t ** (m - 1) / K ** m for m, c in enumerate(rest, start=2)]
     d = shell.dim
     pref = -0.5 * radial_measure(d) * (t / K) ** (d / 2.0) * shell.temperature ** 2 / t
-    return _shell_integral(params, shell, lambda x: x ** (d - 1) / _horner(reduced, x * x),
-                           pref, math.sqrt(K / t))
+    return _shell_integral(params, shell, reduced, pref, math.sqrt(K / t))
 
 
 def leading_scaling_prediction(shell: ShellSpec, t: float) -> float:

@@ -107,13 +107,29 @@ def _power(base: float, k: int) -> float:
         return math.inf
 
 
-def _minus_pi_sq_over(denominator: float) -> float:
-    """-pi^2 / denominator for a positive denominator of float powers.
+def _minus_pi_sq_over(denominator: float, *factors: float) -> float:
+    """-pi^2 / denominator, where denominator is the rounded product of factors.
 
-    A denominator beyond the float range (inf) gives the limit -0.0; one that
-    underflows to 0, or a quotient beyond the float range, raises ValueError.
+    A positive float denominator is used as it is.  One that has left the
+    float range (inf, 0, or nan from 0 * inf) while every factor is a
+    positive float is divided out of the factors' mantissas and exponents
+    apart, so the quotient keeps its normal or subnormal value and is -0.0
+    only below the float range.  Otherwise an inf denominator (an inf
+    factor) gives the limit -0.0, and a 0 factor, or a quotient beyond the
+    float range, raises ValueError.
     """
-    value = -_PI_SQ / denominator if denominator else -math.inf
+    if not 0.0 < denominator < math.inf and 0.0 < min(factors) <= max(factors) < math.inf:
+        quotient, exponent = -_PI_SQ, 0
+        for factor in factors:
+            mantissa, e = math.frexp(factor)
+            quotient /= mantissa
+            exponent -= e
+        try:
+            return math.ldexp(quotient, exponent)
+        except OverflowError:
+            value = -math.inf
+    else:
+        value = -_PI_SQ / denominator if denominator else -math.inf
     if not math.isfinite(value):
         raise ValueError(f"value beyond the float range: its denominator is {denominator!r}")
     return value
@@ -122,16 +138,10 @@ def _minus_pi_sq_over(denominator: float) -> float:
 def _pair_energy(gap: float) -> float:
     """Dirichlet pair energy -pi^2/(1440 gap^3) of a positive gap, inf allowed.
 
-    Where 1440 gap^3 overflows but the gap is a float (about 6e101 and up),
-    the energy is divided out one factor of the gap at a time, so it keeps
-    its normal or subnormal value and is -0.0 only below the float range.
     A gap beyond the float range (inf) gives the limit -0.0; one that
     underflows to 0 has an energy beyond the range (ValueError).
     """
-    denominator = 1440.0 * _power(gap, 3)
-    if denominator == math.inf and gap != math.inf:
-        return -_PI_SQ / 1440.0 / gap / gap / gap
-    return _minus_pi_sq_over(denominator)
+    return _minus_pi_sq_over(1440.0 * _power(gap, 3), 1440.0, gap, gap, gap)
 
 
 def _contraction_gap(a: float, x: float, k: int) -> float:
@@ -170,7 +180,7 @@ def force_per_area(a: float) -> float:
     Equals -d/da of the electromagnetic pair energy; negative = attraction.
     """
     _check_spacing(a)
-    return _minus_pi_sq_over(240.0 * _power(a, 4))
+    return _minus_pi_sq_over(240.0 * _power(a, 4), 240.0, a, a, a, a)
 
 
 def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
@@ -181,7 +191,11 @@ def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
     """
     _check_spacing(a)
     _check_ratio(x)
-    value = _minus_pi_sq_over(1440.0 * _power(a, 3) * _power(x - 1.0, 3) * (_power(x, 3) - 1.0))
+    cube = _power(x, 3)
+    # x^3 - 1 rounds to x^3 wherever x^3 overflows
+    last = (cube - 1.0,) if cube < math.inf else (x, x, x)
+    value = _minus_pi_sq_over(1440.0 * _power(a, 3) * _power(x - 1.0, 3) * (cube - 1.0),
+                              1440.0, a, a, a, x - 1.0, x - 1.0, x - 1.0, *last)
     return EnergyDensity(value, regularized=False)
 
 

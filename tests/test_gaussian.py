@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from sscasimir.gaussian import (
     _check_positive_on,
+    _integrand,
     BelowCriticalityError,
     LGParams,
     ShellSpec,
@@ -82,6 +84,45 @@ class TestKernel:
             LGParams(t=1.0, K=-1.0)
         with pytest.raises(ValueError):
             LGParams(t=1.0, K=1.0, L=-0.5)
+
+
+def quotient(fn, q):
+    """fn(q) as a hex float, or the name of the arithmetic error it raises."""
+    try:
+        return fn(q).hex()
+    except ArithmeticError as exc:    # q^(d-1) overflows, or g is exactly 0
+        return type(exc).__name__
+
+
+NON_NEGATIVE = st.floats(0.0, 1e6)
+# from the smallest subnormal up, and around the q where u = q^2 (2^512),
+# u^3 (2^171) and u^4 (2^128) overflow
+SAMPLE_Q = st.one_of(st.floats(5e-324, 1e300),
+                     st.sampled_from([2.0 ** k for k in (127, 128, 170, 171, 511, 512)]))
+
+
+class TestIntegrand:
+    @pytest.mark.parametrize("n_higher", range(5))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), t=NON_NEGATIVE, K=NON_NEGATIVE, L=NON_NEGATIVE,
+           d=st.integers(1, 4), q=SAMPLE_Q)
+    @example(data=None, t=0.0, K=0.0, L=0.0, d=2, q=2.0 ** 128)
+    def test_equals_kernel_quotient(self, n_higher, data, t, K, L, d, q):
+        # the closure's samples are kernel's bits, whichever branch it unrolls
+        higher = () if data is None else data.draw(
+            st.lists(st.floats(-1e3, 1e3), min_size=n_higher, max_size=n_higher))
+        params = LGParams(t=t, K=K, L=L, higher=tuple(higher))
+        expected = quotient(lambda x: x ** (d - 1) / kernel(params, x), q)
+        assert quotient(_integrand(params.coefficients, d), q) == expected
+
+    @pytest.mark.parametrize("higher, q, g", [((), 2.0 ** 171, 2.0 ** 684),
+                                              ((1.0,), 2.0 ** 128, 2.0 ** 768)])
+    def test_powers_beyond_the_degree_are_never_formed(self, higher, q, g):
+        # u^3 (u^4) overflows here; zero-padding the kernel to a higher degree
+        # would add 0 * inf = nan to a finite g
+        params = LGParams(t=1.0, K=1.0, L=1.0, higher=higher)
+        assert kernel(params, q) == g
+        assert _integrand(params.coefficients, 1)(q) == 1.0 / g
 
 
 def positive_on_shell(coeffs, lo, hi):
@@ -250,6 +291,8 @@ class TestCasimirEnergyDensity:
             LGParams(t=0.0, K=1.0), ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0)
         )
         assert out.value < 0.0
+        exact = power_law_energy(3, 1.0, 2.0, 1.0, 1.0)
+        assert abs(out.value - exact) <= out.abs_error_estimate + 4.0 * math.ulp(exact)
 
     def test_unstable_kernel_rejected(self):
         with pytest.raises(UnstableKernelError):
@@ -280,6 +323,40 @@ class TestCasimirEnergyDensity:
             ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0),
         )
         assert energy.value == pytest.approx(fd, rel=1e-8)
+
+
+def power_law_energy(d, lam, b, T, K):
+    """The shell energy at t = L = 0, from 40 digits: with g = K q^2 the
+    integral of q^(d-3)/K is lam^(d-2) (1 - b^(2-d)) / (K (d-2)), or ln b / K
+    at d = 2."""
+    with mpmath.workdps(40):
+        d, lam, b, T, K = (mpmath.mpf(v) for v in (d, lam, b, T, K))
+        k_d = 2 * mpmath.pi ** (d / 2) / mpmath.gamma(d / 2) / (2 * mpmath.pi) ** d
+        if d == 2:
+            integral = mpmath.log(b) / K
+        else:
+            integral = lam ** (d - 2) * (1 - b ** (2 - d)) / (K * (d - 2))
+        return float(-T * T / 2 * k_d * integral)
+
+
+class TestInfiniteRange:
+    """At the critical point t = 0 with L = 0 the kernel K q^2 has no length
+    scale: the correlation length is infinite and the shell energy is the
+    pure power law of the paper's Gaussian section."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam, b, T, K", [
+        (1.0, 2.0, 1.0, 1.0), (0.3, 7.5, 2.0, 0.25), (40.0, 1.05, 0.5, 3.0), (2.5, 1e3, 1.0, 1e-3),
+    ])
+    def test_pure_power_law(self, d, lam, b, T, K):
+        params = LGParams(t=0.0, K=K)
+        shell = ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=T)
+        out = casimir_energy_density(params, shell)
+        exact = power_law_energy(d, lam, b, T, K)
+        assert abs(out.value - exact) <= out.abs_error_estimate + 4.0 * math.ulp(exact)
+        # the substitution q = sqrt(t/K) x collapses at this point
+        with pytest.raises(ValueError, match="undefined for t <= 0"):
+            dimensionless_energy_density(params, shell)
 
 
 class TestDimensionlessForm:

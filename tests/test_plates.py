@@ -388,8 +388,37 @@ class TestFloatRange:
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
     def test_inflation_beyond_float_range_is_minus_zero(self):
-        value = inflation_stack_energy(1e103, 2.0).value
+        # -pi^2/(1440 a^3 (x-1)^3 (x^3-1)), ~1e-335, is below the smallest subnormal
+        value = inflation_stack_energy(1e110, 2.0).value
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    @pytest.mark.parametrize("a, x", [
+        (1e103, 2.0),            # 1440 a^3 overflows, the energy is subnormal
+        (1e104, 1.0 + 2 ** -17), # dividing by a three times first would underflow
+        (1e-110, 1e103),         # a^3 underflows and (x-1)^3 overflows: 0 * inf
+        (1e-100, 1e103),         # x^3 overflows, the energy is subnormal
+        (1e-150, 1e50),          # a^3 underflows, the energy is large
+    ])
+    def test_inflation_whose_product_leaves_the_float_range(self, a, x):
+        # x^3 - 1 is exact for these x, so the closed form is exact in Fractions
+        exact = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3 * (Fraction(x) - 1) ** 3
+                                    * (Fraction(x) ** 3 - 1))
+        got = inflation_stack_energy(a, x).value
+        assert got < 0.0
+        assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact) + 2.0 ** -1074
+
+    @pytest.mark.parametrize("a", [1e78, 1e80, 3e77])
+    def test_force_whose_fourth_power_leaves_the_float_range(self, a):
+        exact = -Fraction(PI_SQ) / (240 * Fraction(a) ** 4)
+        got = force_per_area(a)
+        assert got < 0.0
+        assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact) + 2.0 ** -1074
+
+    def test_force_beyond_float_range(self):
+        value = force_per_area(1e82)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+        with pytest.raises(ValueError, match="float range"):
+            force_per_area(1e-78)
 
     def test_contraction_with_huge_ratio_is_its_limit(self):
         assert contraction_stack_energy(1.0, 1e103).value == 0.0
@@ -435,6 +464,7 @@ class TestFloatRange:
     def test_normal_path_is_bit_identical(self):
         for a in GRID_A:
             assert pair_interaction_energy(a).value == -PI_SQ / (1440.0 * a ** 3)
+            assert force_per_area(a) == -PI_SQ / (240.0 * a ** 4)
             for x in GRID_X:
                 expected = -PI_SQ / (1440.0 * a ** 3 * (x - 1.0) ** 3 * (x ** 3 - 1.0))
                 assert inflation_stack_energy(a, x).value == expected

@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -241,6 +242,89 @@ class TestNonFiniteSamples:
     def test_panel_beyond_float_range(self):
         with pytest.raises(ValueError, match="beyond the float range"):
             integrate(lambda x: 1e308, 0.0, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# The unrolled panel against _oracle_panel, the rolled loop: both are fed the
+# same samples in call order, so they must sample the same nodes in the same
+# order and return the same bits, or raise the same message.
+
+def _replay(samples):
+    """An integrand that records its nodes and returns samples in call order
+    (cycled, since naming a non-finite sample evaluates the panel again)."""
+    calls, values = [], itertools.cycle(samples)
+
+    def f(x):
+        calls.append(x)
+        return next(values)
+    return f, calls
+
+
+def _panel_outcome(panel, samples, lo, hi):
+    """(value and error as hex, or the ValueError message; the first 15 nodes)."""
+    f, calls = _replay(samples)
+    try:
+        value, err = panel(f, lo, hi)
+    except ValueError as exc:
+        return str(exc), calls[:15]
+    if math.isfinite(value) and math.isfinite(err):
+        assert len(calls) == 15
+        return (value.hex(), err.hex()), calls
+    # the rolled loop does not raise: name the cause as integrate does
+    bad = [(x, fx) for x, fx in zip(calls, samples) if not math.isfinite(fx)]
+    if bad:
+        return f"integrand is not finite at x = {bad[0][0]!r}: f(x) = {bad[0][1]!r}", calls
+    return (f"panel [{lo!r}, {hi!r}] is beyond the float range: "
+            f"value {value!r}, error estimate {err!r}"), calls
+
+
+SAMPLES = st.one_of(
+    # comparable magnitudes of either sign, where every rounding shows
+    st.lists(st.floats(-4.0, 4.0), min_size=15, max_size=15),
+    st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    ), min_size=15, max_size=15),
+)
+
+
+class TestUnrolledPanel:
+    @settings(max_examples=400, deadline=None)
+    @given(samples=SAMPLES, lo=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3))
+    @example(samples=[-0.0] * 15, lo=0.0, width=1.0)
+    @example(samples=[1.0, -1.0] * 7 + [0.0], lo=-1.0, width=2.0)
+    @example(samples=[-5e-324, 0.0] * 7 + [-0.0], lo=0.0, width=1.0)
+    # only the outermost pair sum overflows; its Gauss weight is zero
+    @example(samples=[1e308, 1e308] + [1.0] * 13, lo=-1.0, width=2.0)
+    def test_same_nodes_and_bits_as_the_rolled_loop(self, samples, lo, width):
+        hi = lo + width
+        assert _panel_outcome(quadrature._panel, samples, lo, hi) == \
+            _panel_outcome(_oracle_panel, samples, lo, hi)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: -0.0,
+        lambda x: x - 0.3,
+        lambda x: -1.0 / (1e-4 + (x - 0.25) ** 2),
+    ])
+    def test_integrands(self, f):
+        got = quadrature._panel(f, -1.0, 2.0)
+        assert [v.hex() for v in got] == [v.hex() for v in _oracle_panel(f, -1.0, 2.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.floats(0.1, 50.0), phase=st.floats(-4.0, 4.0), lo=st.floats(-10.0, 10.0),
+           width=st.floats(1e-3, 10.0))
+    def test_mixed_sign_integrands(self, k, phase, lo, width):
+        f = lambda x: math.sin(k * x + phase)
+        got = quadrature._panel(f, lo, lo + width)
+        assert [v.hex() for v in got] == [v.hex() for v in _oracle_panel(f, lo, lo + width)]
+
+    def test_pair_sum_overflow_names_the_panel(self):
+        # finite samples, an outer pair sum beyond the float range: 0 * inf
+        # makes the rolled loop's error estimate nan, and the message says so
+        with pytest.raises(ValueError) as excinfo:
+            integrate(lambda x: 1e308 if abs(x) > 0.99 else 1.0, -1.0, 1.0)
+        assert str(excinfo.value) == ("panel [-1.0, 1.0] is beyond the float range: "
+                                      "value inf, error estimate nan")
 
 
 @settings(max_examples=300, deadline=None)
