@@ -4,15 +4,20 @@ One logical entry point (main) over the series/plates/gaussian modules.
 Each subcommand is one `Command` record in the `COMMANDS` table: its
 parameters (name, one parse-and-check function, a default or REQUIRED,
 help text), an optional cross-field check, the base and computed fields of
-its row, an optional sweep, and its CSV header.  The argparse options, the
-config-file key check, validation, dispatch and CSV rendering all read it.
+its row, an optional sweep, and its header.  The argparse options, the
+config-file key check, validation, dispatch and rendering all read it.
 Config files mirror the flags one-to-one (JSON object keyed by flag names);
-explicit flags override file values and unknown keys are rejected.  A row
-whose computation fails (ValueError, ArithmeticError, a quadrature that
-does not converge) keeps its base fields and gets an error field, so a
-sweep never aborts on one bad point; in CSV, whose cells drop the message,
-it goes to stderr as well.  The exit code is 0 for full or partial
-success, 1 for usage or I/O problems, 2 when every point failed.
+explicit flags override file values and unknown keys are rejected.
+
+The header is the command's one row schema in JSON and CSV, plus the field
+every command shares, error: a row whose computation fails (ValueError,
+ArithmeticError, a quadrature that does not converge) keeps its base fields
+and gets the failure message as its error, so a sweep never aborts on one
+bad point, and a failed power-law fit reports its error the same way.  A
+JSON row leaves out the fields it does not have, a CSV row leaves their
+cells empty, and the CSV writer raises on a field no header declares.
+stderr carries only usage and I/O errors.  The exit code is 0 for full or
+partial success, 1 for usage or I/O problems, 2 when every point failed.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class ResultSet:
 
     def all_failed(self) -> bool:
         rows = [r for r in self.records if "exponent" not in r]
-        return bool(rows) and all(isinstance(r.get("error"), str) for r in rows)
+        return bool(rows) and all("error" in r for r in rows)
 
 
 # A parse function maps a raw value (a string from argv or a JSON value from
@@ -234,12 +239,7 @@ def _shell_energy(p):
     params = gaussian.LGParams(t=p["t"], K=p["K"], L=p["L"], higher=tuple(p["higher"]))
     shell = gaussian.ShellSpec(dim=p["d"], cutoff=p["lambda"], shell_factor=p["b"],
                                temperature=p["T"])
-    return gaussian.casimir_energy_density(params, shell)
-
-
-def _shell_sweep_point(p):
-    result = _shell_energy(p)
-    return {"value": result.value, "error": result.abs_error_estimate}
+    return dataclasses.asdict(gaussian.casimir_energy_density(params, shell))
 
 
 def _rescale(p):
@@ -276,7 +276,8 @@ _SHELL = (
 _STACK_BASE = _fields("a", "x", "direction", N="truncate")
 _SHELL_BASE = _fields("d", "lambda", "b", "T", "t", "K", "L", higher="higher")
 _STACK_HEADER = ("a", "x", "direction", "N", "value", "regularized")
-_SHELL_HEADER = ("d", "lambda", "b", "T", "t", "K", "L", "value", "error")
+_SHELL_HEADER = ("d", "lambda", "b", "T", "t", "K", "L", "higher",
+                 "value", "abs_error_estimate", "evaluations")
 
 COMMANDS = {
     "plates-pair": Command(
@@ -308,14 +309,13 @@ COMMANDS = {
             series.PowerSeries(tuple(p["coeffs"])), p["x"], p["tol"])),
     ),
     "gaussian-energy": Command(
-        params=_SHELL, header=_SHELL_HEADER, base=_SHELL_BASE,
-        compute=lambda p: dataclasses.asdict(_shell_energy(p)),
+        params=_SHELL, header=_SHELL_HEADER, base=_SHELL_BASE, compute=_shell_energy,
     ),
     "gaussian-sweep": Command(
         params=(Param("var", _one_of("lambda", "b", "t")), Param("min", _number),
                 Param("max", _number), *_GRID,
                 Param("fit", bool, False, "append a power-law fit record"), *_SHELL),
-        header=_SHELL_HEADER, base=_SHELL_BASE, compute=_shell_sweep_point,
+        header=_SHELL_HEADER, base=_SHELL_BASE, compute=_shell_energy,
         sweep=lambda p: SweepSpec(p["var"], p["min"], p["max"], p["steps"], p["log"]),
     ),
     "gaussian-rg": Command(
@@ -413,7 +413,7 @@ def _fit_record(records):
     try:
         exponent, r_squared = gaussian.fit_power_law(points)
     except ValueError as exc:
-        return {"exponent": None, "r_squared": None, "fit_error": str(exc)}
+        return {"exponent": None, "r_squared": None, "error": str(exc)}
     return {"exponent": exponent, "r_squared": r_squared}
 
 
@@ -459,18 +459,15 @@ def render(results: ResultSet, fmt: str) -> str:
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, COMMANDS[results.command].header, restval="",
-                            extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(buf, COMMANDS[results.command].header + ("error",),
+                            restval="", lineterminator="\n")
     writer.writeheader()
     trailer = ""
     for record in results.records:
         if "exponent" in record:  # sweep fit trailer; no grid columns
-            trailer += "# fit exponent=%s r_squared=%s\n" % (
-                _cell(record.get("exponent")), _cell(record.get("r_squared")))
+            trailer += "# fit %s\n" % " ".join(f"{k}={_cell(v)}" for k, v in record.items())
             continue
-        cells = {key: _cell(value) for key, value in record.items()}
-        cells.setdefault("error", cells.get("abs_error_estimate", ""))
-        writer.writerow(cells)
+        writer.writerow({key: _cell(value) for key, value in record.items()})
     return buf.getvalue() + trailer
 
 
@@ -493,11 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write {config.output!r}: {exc}", file=sys.stderr)
             return 1
-    if config.fmt == "csv":     # CSV cells drop a failure's cause; name it on stderr
-        for record in results.records:
-            message = record.get("error", record.get("fit_error"))
-            if isinstance(message, str):
-                print(f"error: {message}", file=sys.stderr)
     return 2 if results.all_failed() else 0
 
 

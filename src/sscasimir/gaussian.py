@@ -183,9 +183,9 @@ def _integrand(coeffs: Sequence[float], d: int):
 
     coeffs holds at least three coefficients; g is evaluated in kernel's
     order, t + u (K + u L) and then each higher term left to right, so the
-    samples are kernel's bits.  Up to two higher terms are unrolled and more
-    run a loop; padding to one degree would turn an overflowing u^3 or u^4
-    into nan (0 * inf).
+    samples are kernel's bits.  None or two higher terms are unrolled and
+    the rest run a loop; padding to one degree would turn an overflowing u^3
+    or u^4 into nan (0 * inf).
     """
     t, K, L, *higher = coeffs
     p = d - 1
@@ -193,12 +193,6 @@ def _integrand(coeffs: Sequence[float], d: int):
         def f(q):
             u = q * q
             return q ** p / (t + u * (K + u * L))
-    elif len(higher) == 1:
-        h0, = higher
-
-        def f(q):
-            u = q * q
-            return q ** p / (t + u * (K + u * L) + h0 * (u * u * u))
     elif len(higher) == 2:
         h0, h1 = higher
 
@@ -343,29 +337,30 @@ def leading_scaling_prediction(shell: ShellSpec, t: float) -> float:
 def fit_power_law(samples: Iterable[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log|energy| against log(scale).
 
-    Returns (exponent, r_squared).  Requires at least three samples with
-    positive scales and same-sign nonzero energies, so the log is defined
-    and the sign carries no information.
+    Returns (exponent, r_squared), the centred closed form with every sum
+    taken by math.fsum.  Requires at least three samples with positive
+    scales, not all the same, and same-sign nonzero energies, so the log is
+    defined, a slope exists, and the sign carries no information.
     """
-    import numpy as np
-
     pts = list(samples)
     if len(pts) < 3:
         raise ValueError("power-law fit needs at least 3 samples")
-    scales = np.array([s for s, _ in pts], dtype=float)
-    energies = np.array([e for _, e in pts], dtype=float)
-    if np.any(scales <= 0.0):
+    if any(s <= 0.0 for s, _ in pts):
         raise ValueError("all scales must be positive")
-    if np.any(energies == 0.0) or (np.any(energies > 0.0) and np.any(energies < 0.0)):
+    if any(e == 0.0 for _, e in pts) or len({e > 0.0 for _, e in pts}) > 1:
         raise ValueError("energies must be nonzero and share one sign")
-    lx = np.log(scales)
-    ly = np.log(np.abs(energies))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residuals = ly - (slope * lx + intercept)
-    ss_res = float(np.sum(residuals ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r_squared
+    lx = [math.log(s) for s, _ in pts]
+    ly = [math.log(abs(e)) for _, e in pts]
+    if min(lx) == max(lx):
+        raise ValueError("power-law fit needs at least two distinct scales")
+    n = len(pts)
+    mx, my = math.fsum(lx) / n, math.fsum(ly) / n
+    sxx = math.fsum((a - mx) ** 2 for a in lx)
+    sxy = math.fsum((a - mx) * (c - my) for a, c in zip(lx, ly))
+    slope = sxy / sxx
+    ss_res = math.fsum((c - my - slope * (a - mx)) ** 2 for a, c in zip(lx, ly))
+    ss_tot = math.fsum((c - my) ** 2 for c in ly)
+    return slope, 1.0 - ss_res / ss_tot if ss_tot else 1.0
 
 
 def rg_rescale(params: LGParams, b: float, field_scale: float, d: int) -> LGParams:

@@ -58,8 +58,6 @@ _WG = (
     0.0,
     0.417959183673469,
 )
-# the seven symmetric node pairs; the centre node (last) is added after them
-_PAIRS = tuple(zip(_NODES[:-1], _WK[:-1], _WG[:-1]))
 # the same tables as names, for the unrolled panel (the zero Gauss weights
 # _WG[0], _WG[2], _WG[4] and _WG[6] have none)
 _X1, _X2, _X3, _X4, _X5, _X6, _X7, _ = _NODES
@@ -148,18 +146,19 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     if not (math.isfinite(value) and math.isfinite(err)):
         # the skipped Gauss terms are nan where a pair sum is not finite
         gauss += 0.0 * (a1 + b1) + 0.0 * (a3 + b3) + 0.0 * (a5 + b5) + 0.0 * (a7 + b7)
-        _raise_non_finite(f, lo, hi, value, max(abs(kronrod - gauss) * half, _FLOOR * resabs))
+        _raise_non_finite((a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, fc),
+                          lo, hi, value, max(abs(kronrod - gauss) * half, _FLOOR * resabs))
     return value, err
 
 
-def _raise_non_finite(f: Callable[[float], float], lo: float, hi: float,
+def _raise_non_finite(samples: tuple[float, ...], lo: float, hi: float,
                       value: float, err: float) -> NoReturn:
-    """Name the first node of [lo, hi] whose sample is not finite (ValueError)."""
+    """Name the first node of [lo, hi] whose sample, of the 15 in _panel's
+    call order, is not finite (ValueError)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = [mid + sign * (half * node) for node, _, _ in _PAIRS for sign in (1.0, -1.0)]
-    for x in nodes + [mid]:
-        fx = f(x)
+    nodes = [mid + sign * (half * node) for node in _NODES[:-1] for sign in (1.0, -1.0)]
+    for x, fx in zip(nodes + [mid], samples):
         if not math.isfinite(fx):
             raise ValueError(f"integrand is not finite at x = {x!r}: f(x) = {fx!r}")
     raise ValueError(f"panel [{lo!r}, {hi!r}] is beyond the float range: "

@@ -202,7 +202,7 @@ class TestRender:
         config = parse_config(["plates-pair", "--a", "1.0", "--kind", "dirichlet"])
         text = render(execute(config), "csv")
         value = repr(-PI_SQ / 1440.0)
-        assert text == f"a,kind,value\n1.0,dirichlet,{value}\n"
+        assert text == f"a,kind,value,error\n1.0,dirichlet,{value},\n"
 
     def test_json_is_array_with_stable_keys(self):
         config = parse_config(["plates-pair", "--a", "1.0"])
@@ -212,7 +212,7 @@ class TestRender:
 
     def test_round_trip_precision(self):
         rows = run_csv(["plates-stack", "--a", "1", "--x", "2", "--direction", "inflation"])
-        assert rows[0] == ["a", "x", "direction", "N", "value", "regularized"]
+        assert rows[0] == ["a", "x", "direction", "N", "value", "regularized", "error"]
         assert float(rows[1][4]) == inflation_stack_energy(1.0, 2.0).value
 
     def test_combined_stack_prints_cancelled_value(self):
@@ -234,8 +234,13 @@ class TestRender:
         ])
         text = render(execute(config), "csv")
         lines = text.strip().splitlines()
-        assert lines[0] == "d,lambda,b,T,t,K,L,value,error"
+        assert lines[0] == "d,lambda,b,T,t,K,L,higher,value,abs_error_estimate,evaluations,error"
         assert lines[-1].startswith("# fit exponent=")
+
+    def test_undeclared_csv_field_raises(self):
+        record = {"a": 1.0, "kind": "dirichlet", "value": -0.5, "note": "x"}
+        with pytest.raises(ValueError, match="note"):
+            render(ResultSet(command="plates-pair", records=[record]), "csv")
 
     def test_empty_result_set_rejected(self):
         with pytest.raises(ValueError):
@@ -319,26 +324,69 @@ class TestMain:
         exact = sum(-Fraction(PI_SQ) / (1440 * (Fraction(float(a)) * g) ** 3) for g in (2, 4))
         assert value == float(exact) and math.copysign(1.0, value) == -1.0
 
-    @pytest.mark.parametrize("argv, row, cause", [
-        (["series-resum", "--coeffs", "[1,0,1]", "--x", "0.5"], ",,,", "intermediate coefficient"),
-        (["plates-pair", "--a", "1e-200"], "1e-200,dirichlet,", "float range"),
+    @pytest.mark.parametrize("argv, cells, cause", [
+        (["series-resum", "--coeffs", "[1,0,1]", "--x", "0.5"], ["", "", "", ""],
+         "intermediate coefficient"),
+        (["plates-pair", "--a", "1e-200"], ["1e-200", "dirichlet", ""], "float range"),
     ])
-    def test_csv_failure_cause_goes_to_stderr(self, argv, row, cause, capsys):
+    def test_csv_failure_cause_is_in_its_row(self, argv, cells, cause, capsys):
         assert main(argv + ["--format", "csv"]) == 2
         out, err = capsys.readouterr()
-        assert out.splitlines()[1:] == [row]
-        assert err.startswith("error: ") and cause in err and err.count("\n") == 1
-        assert main(argv) == 2      # JSON carries the cause in the row only
+        (row,) = list(csv.reader(io.StringIO(out)))[1:]
+        assert row[:-1] == cells and cause in row[-1] and err == ""
+        assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert err == "" and cause in json.loads(out)[0]["error"]
+        assert err == "" and json.loads(out)[0]["error"] == row[-1]
 
-    def test_csv_fit_failure_cause_goes_to_stderr(self, capsys):
-        argv = ["gaussian-sweep", "--var", "b", "--min", "1.2", "--max", "2.0", "--steps", "2",
-                "--d", "1", "--lambda", "1", "--T", "1", "--t", "1", "--K", "0", "--fit"]
+    @pytest.mark.parametrize("argv, message", [
+        (["--var", "b", "--min", "1.2", "--max", "2.0", "--steps", "2", "--d", "1", "--lambda", "1",
+          "--t", "1", "--K", "0"], "power-law fit needs at least 3 samples"),
+        # every row shares b / lambda = 2, so no slope exists
+        (["--var", "t", "--min", "1", "--max", "2", "--steps", "3", "--d", "3", "--lambda", "1",
+          "--b", "2", "--K", "1"], "power-law fit needs at least two distinct scales"),
+    ])
+    def test_fit_failure_cause_is_in_its_record(self, argv, message, capsys):
+        argv = ["gaussian-sweep", "--T", "1", "--fit"] + argv
         assert main(argv + ["--format", "csv"]) == 0
         out, err = capsys.readouterr()
-        assert out.splitlines()[-1] == "# fit exponent= r_squared="
-        assert err == "error: power-law fit needs at least 3 samples\n"
+        assert out.splitlines()[-1] == f"# fit exponent= r_squared= error={message}"
+        assert err == ""
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)[-1] == {"exponent": None, "r_squared": None, "error": message}
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, failing", [
+        (["plates-pair", "--a", "1e-200"], [True]),
+        (["plates-pair", "--a", "1"], [False]),
+        (["plates-stack", "--a", "1", "--x", "1e200", "--direction", "contraction",
+          "--truncate", "3"], [True]),
+        (["plates-stack", "--a", "1", "--x", "2", "--direction", "contraction"], [False]),
+        (["plates-sweep", "--a", "1", "--direction", "inflation", "--x-min", "0.5",
+          "--x-max", "2.0", "--steps", "4"], [True, True, False, False]),
+        (["series-resum", "--coeffs", "[1,0,1]", "--x", "0.5"], [True]),
+        (["series-resum", "--coeffs", "[1,1,1]", "--x", "0.5"], [False]),
+        (["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1", "--t", "0",
+          "--K", "0.1", "--higher", "[-1]"], [True]),
+        (["gaussian-sweep", "--var", "t", "--min", "0", "--max", "2", "--steps", "3", "--d", "3",
+          "--lambda", "1", "--b", "2", "--T", "1", "--K", "0.1", "--higher", "[-1]"],
+         [True, False, False]),
+        (["gaussian-rg", "--d", "3", "--b", "1e300", "--t", "1", "--K", "1", "--L", "1"], [True]),
+        (["gaussian-rg", "--d", "3", "--b", "2", "--t", "1", "--K", "1", "--L", "1"], [False]),
+        (["lattice-check", "--d", "1", "--sites", "8"], [False]),
+    ])
+    def test_error_field_only_on_failing_rows(self, argv, failing, capsys):
+        # the same rows in both formats: the error where a row fails, in CSV
+        # an empty error cell where it succeeds, and nothing on stderr
+        code = 2 if all(failing) else 0
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        records = json.loads(out)
+        assert err == "" and ["error" in r for r in records] == failing
+        assert main(argv + ["--format", "csv"]) == code
+        out, err = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert err == "" and [r["error"] for r in rows] == [r.get("error", "") for r in records]
 
     def test_kernel_dip_is_an_error_row(self, capsys):
         # (u - 2.1)^2 (u + 0.42)^2 - 1e-8 in u = q^2 dips below 0 inside the shell
@@ -367,6 +415,8 @@ _NO_ARRAYS = [
     ["plates-pair", "--a", "1.0"],
     ["series-resum", "--coeffs", "[1,1,1,1,1]", "--x", "2"],
     ["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1", "--t", "1", "--K", "1"],
+    ["gaussian-sweep", "--var", "lambda", "--min", "1e-3", "--max", "1e-2", "--steps", "3", "--log",
+     "--fit", "--d", "4", "--b", "1.05", "--T", "1", "--t", "1", "--K", "1"],
     ["gaussian-rg", "--d", "3", "--b", "2", "--B", "auto", "--t", "1", "--K", "1", "--L", "1"],
 ]
 

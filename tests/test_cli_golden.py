@@ -1,20 +1,24 @@
 """Golden outputs of the command line: stdout bytes, stderr and exit code of
-``main(argv)`` for the README examples and three edge cases, each in JSON
+``main(argv)`` for the README examples and four edge cases, each in JSON
 and CSV.  The files under tests/golden/ hold what the program printed when
-they were recorded; a change to any byte is a change of behaviour.
+they were recorded; a change to any byte is a change of behaviour.  The
+README's examples and its table of row fields are checked against CASES
+and COMMANDS, so they cannot drift from what the program runs.
 
 A new case is added to CASES and its files written by calling ``record``
 once, from a test run of the program whose output they are to pin.
 """
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from sscasimir.cli import main
+from sscasimir.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CASES = {
     "readme-plates-pair": ["plates-pair", "--a", "1.0", "--kind", "dirichlet"],
@@ -70,6 +74,46 @@ def test_matches_golden(name, fmt, capsys):
     want = json.loads(path_of(name, fmt).read_text(encoding="utf-8"))
     got = run(CASES[name] + ["--format", fmt], capsys)
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_rows_follow_the_header(name):
+    # every row's fields are its command's header fields plus error, in order
+    got = json.loads(path_of(name, "json").read_text(encoding="utf-8"))
+    if got["exit"] == 1:
+        return
+    schema = COMMANDS[CASES[name][0]].header + ("error",)
+    for row in json.loads(got["stdout"]):
+        if "exponent" in row:
+            assert list(row) in (["exponent", "r_squared"], ["exponent", "r_squared", "error"])
+        else:
+            assert list(row) == [key for key in schema if key in row]
+
+
+def _readme_command_line():
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("## Command line"):text.index("## Python API")]
+
+
+def test_readme_examples_are_the_readme_cases():
+    block = _readme_command_line().split("```sh\n")[1].split("```")[0]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)[1:]
+        if "--format" in argv:
+            del argv[argv.index("--format"):argv.index("--format") + 2]
+        examples.append(argv)
+    assert examples == [argv for name, argv in CASES.items() if name.startswith("readme-")]
+
+
+def test_readme_csv_headers_are_the_command_headers():
+    table = {}
+    for line in _readme_command_line().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 2 and cells[1].startswith("`"):
+            table.update((name, cells[1].strip("`")) for name in cells[0].split(" / "))
+    assert table == {name: ",".join(command.header + ("error",))
+                     for name, command in COMMANDS.items()}
 
 
 def test_every_golden_file_has_a_case():

