@@ -5,7 +5,8 @@ Each subcommand is one `Command` record in the `COMMANDS` table: its
 parameters (name, one parse-and-check function, a default or REQUIRED,
 help text), an optional cross-field check, the base and computed fields of
 its row, an optional sweep, and its header.  The argparse options, the
-config-file key check, validation, dispatch and rendering all read it.
+config-file key check, validation, dispatch and rendering all read it;
+each command's argparse parser is built once per process, on its first use.
 Config files mirror the flags one-to-one (JSON object keyed by flag names);
 explicit flags override file values and unknown keys are rejected.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -339,14 +341,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _command_parser(name: str, command: Command) -> _Parser:
-    # every option keeps default None so explicit flags can be told apart
-    # from config-file values
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    # built once per process on first use: parse_args leaves the parser as it
+    # is and fills a fresh namespace each call.  Every option keeps default
+    # None so explicit flags can be told apart from config-file values
     parser = _Parser(prog=f"sscasimir {name}")
     # argparse takes a dash-led number for a value only in the forms '-1' and
     # '-0.5'; this also admits the exponent form, as in '--x -9.9e-05'
     parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
-    for param in command.params + _GLOBALS:
+    for param in COMMANDS[name].params + _GLOBALS:
         flag = dict(action="store_const", const=True) if param.parse is bool else {}
         metavar = getattr(param.parse, "metavar", param.name.upper().replace("-", "_"))
         parser.add_argument(f"--{param.name}", dest=param.name, help=param.help,
@@ -384,7 +388,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         parser.add_argument("command", choices=COMMANDS)
         parser.parse_args(argv)
         raise UsageError(f"unknown command {name!r}")
-    flags = vars(_command_parser(name, command).parse_args(argv[1:]))
+    flags = vars(_command_parser(name).parse_args(argv[1:]))
     path = flags.pop("config")
     raw = {}
     if path is not None:

@@ -18,9 +18,11 @@ periodic lattices verify the underlying Fourier identities exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .plates import _power
 from .quadrature import QuadratureConvergenceError, QuadratureResult, integrate
 
 # numpy is imported only where an array is made: the other layers and the
@@ -369,7 +371,8 @@ def rg_rescale(params: LGParams, b: float, field_scale: float, d: int) -> LGPara
     The coefficient of q^(2m) picks up B^2 b^(-d-2m): t' = b^-d B^2 t,
     K' = b^(-d-2) B^2 K, and so on.  Factors are evaluated as
     (B / b^((d+2m)/2))^2 so the field scale that fixes K does so without
-    rounding.
+    rounding.  A coefficient whose steps leave the float range keeps its
+    value; one beyond the float range raises ValueError.
     """
     if not (math.isfinite(b) and b > 1.0):
         raise ValueError("rescale factor b must be > 1")
@@ -378,18 +381,63 @@ def rg_rescale(params: LGParams, b: float, field_scale: float, d: int) -> LGPara
     if int(d) != d or d < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {d}")
 
-    t, K, L, *higher = (c * (field_scale / b ** ((d + 2 * m) / 2.0)) ** 2
+    t, K, L, *higher = (_rescaled(c, field_scale, b, (d + 2 * m) / 2.0)
                         for m, c in enumerate(params.coefficients))
     return LGParams(t, K, L, tuple(higher))
 
 
+_TINY = sys.float_info.min      # smallest normal float
+
+
+def _rescaled(c: float, B: float, b: float, e: float) -> float:
+    """c (B / b^e)^2, in that float form wherever its steps stay normal.
+
+    Where b^e overflows, (B / b^e)^2 leaves the normal range or the product
+    overflows, the value comes from mantissas and exponents kept apart
+    instead: b^e as n equal float factors b^(e/n), n = 1, 2, 4, ..., divided
+    out of B one at a time.  Then a value below the float range is 0.0 and
+    one beyond it raises ValueError.
+    """
+    try:
+        factor = (B / b ** e) ** 2
+    except OverflowError:
+        factor = math.inf
+    value = c * factor
+    if _TINY <= factor and abs(value) < math.inf:
+        return value
+    n = 1
+    while math.isinf(piece := _power(b, e / n)):
+        n *= 2
+    # n > 1 only where b^(2e/n) overflows, so each piece then exceeds 2^512
+    # and a few divisions take B / b^e below 2^-1100, where c times its
+    # square (c < 2^1024) is below every float
+    ratio, exponent = math.frexp(B)
+    for _ in range(n):
+        ratio, shift = math.frexp(ratio / piece)
+        exponent += shift
+        if exponent < -1100:
+            break
+    mantissa, shift = math.frexp(c)
+    try:
+        return math.ldexp(mantissa * ratio * ratio, shift + 2 * exponent)
+    except OverflowError:
+        raise ValueError(f"value beyond the float range: c (B / b^e)^2 with c = {c!r}, "
+                         f"B = {B!r}, b = {b!r}, e = {e!r}") from None
+
+
 def fixed_point_field_scale(b: float, d: int) -> float:
-    """Field scale b^((d+2)/2): the unique B keeping K fixed under rg_rescale."""
+    """Field scale b^((d+2)/2): the unique B keeping K fixed under rg_rescale.
+
+    Raises ValueError when that power is beyond the float range.
+    """
     if not (math.isfinite(b) and b > 1.0):
         raise ValueError("rescale factor b must be > 1")
     if int(d) != d or d < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {d}")
-    return b ** ((d + 2) / 2.0)
+    scale = _power(b, (d + 2) / 2.0)
+    if math.isinf(scale):
+        raise ValueError(f"value beyond the float range: b^{(d + 2) / 2.0!r} for b = {b!r}")
+    return scale
 
 
 def mode_split_log_partition(

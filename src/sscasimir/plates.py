@@ -99,7 +99,7 @@ def _check_ratio(x: float) -> None:
         raise ValueError(f"stack ratio must be > 1, got {x}")
 
 
-def _power(base: float, k: int) -> float:
+def _power(base: float, k: float) -> float:
     """base ** k for base > 0, with inf where float ** would raise OverflowError."""
     try:
         return base ** k

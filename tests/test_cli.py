@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sscasimir import cli
 from sscasimir.cli import (
     ResultSet,
     RunConfig,
@@ -112,6 +113,62 @@ class TestParseConfig:
             path.write_text(json.dumps(first.to_config_json()))
             second = parse_config([argv[0], "--config", str(path)])
             assert second == first
+
+
+class TestParserCache:
+    """Each command's parser is built once and reused; no call leaks into the next."""
+
+    def test_one_parser_per_command(self, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli._command_parser.cache_clear()
+        try:
+            for a in ("1", "2", "3"):
+                parse_config(["plates-pair", "--a", a])
+            parse_config(["plates-stack", "--a", "1", "--x", "2", "--direction", "inflation"])
+            parse_config(["plates-pair", "--a", "4"])
+        finally:
+            cli._command_parser.cache_clear()
+        assert built == ["sscasimir plates-pair", "sscasimir plates-stack"]
+        assert cli._command_parser("plates-pair") is cli._command_parser("plates-pair")
+
+    def test_flags_do_not_carry_over(self):
+        assert parse_config(["plates-pair", "--a", "1", "--kind", "em"]).parameters["kind"] == "em"
+        assert parse_config(["plates-pair", "--a", "1"]).parameters == {"a": 1.0, "kind": "dirichlet"}
+
+    def test_config_file_values_do_not_carry_over(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"a": 2.5, "kind": "em", "format": "csv"}))
+        first = parse_config(["plates-pair", "--config", str(path)])
+        assert first.parameters == {"a": 2.5, "kind": "em"} and first.fmt == "csv"
+        second = parse_config(["plates-pair", "--a", "1"])
+        assert second.parameters == {"a": 1.0, "kind": "dirichlet"} and second.fmt == "json"
+
+    @pytest.mark.parametrize("bad", [["--a", "abc"], ["--a"], ["--a", "1", "--nope", "3"]])
+    def test_usage_error_does_not_affect_the_next_call(self, bad):
+        with pytest.raises(UsageError):
+            parse_config(["plates-pair"] + bad)
+        config = parse_config(["plates-pair", "--a", "1", "--out", "x.csv"])
+        assert config.parameters == {"a": 1.0, "kind": "dirichlet"} and config.output == "x.csv"
+
+    def test_exponent_form_value_on_every_call(self):
+        for _ in range(3):
+            config = parse_config(["series-resum", "--coeffs", "[1,1,1]", "--x", "-9.9e-05"])
+            assert config.parameters["x"] == -9.9e-05
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                parse_config(["gaussian-sweep", "--help"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: sscasimir gaussian-sweep")
 
 
 class TestSweepSpec:
@@ -302,6 +359,39 @@ class TestMain:
             assert math.isfinite(record["value"])
         else:
             assert "float range" in record["error"]
+
+    @pytest.mark.parametrize("argv, square", [
+        # B auto = b^2.5, whose square is b^5
+        (["--b", "1e300", "--t", "1", "--K", "1", "--L", "1"], Fraction(1e300) ** 5),
+        # t' = B^2 / b^3
+        (["--b", "1.5", "--B", "1e200", "--t", "1", "--K", "1", "--L", "1"],
+         (Fraction(1e200) ** 2 / Fraction(1.5) ** 3) ** 2),
+    ])
+    def test_rg_beyond_the_float_range_names_it(self, argv, square, capsys):
+        assert square > Fraction(sys.float_info.max) ** 2
+        assert main(["gaussian-rg", "--d", "3"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        (record,) = json.loads(out)
+        assert record["error"].startswith("value beyond the float range: ")
+
+    @pytest.mark.parametrize("argv", [
+        # b^2.5 and b^3.5 overflow and every value is below the float range
+        ["--b", "1e200", "--B", "2", "--t", "1", "--K", "1", "--L", "1"],
+        # b^2.5 and b^3.5 overflow; K' ~ 1e-20 and L' ~ 1e-268 are floats
+        ["--b", "1e124", "--B", "1e300", "--t", "1", "--K", "1", "--L", "1"],
+        # (B / b^1.5)^2 overflows, t' ~ 3e99 does not
+        ["--b", "1.5", "--B", "1e200", "--t", "1e-300", "--K", "1e-300", "--L", "1e-300"],
+        # (B / b^1.5)^2 underflows, t' = 4e-300 does not (it printed 0.0)
+        ["--b", "1e200", "--B", "2", "--t", "1e300", "--K", "1", "--L", "1"],
+    ])
+    def test_rg_whose_steps_leave_the_float_range(self, argv, capsys):
+        assert main(["gaussian-rg", "--d", "3"] + argv) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        b, B = Fraction(float(argv[1])), Fraction(float(argv[3]))
+        for m, key in enumerate("tKL"):
+            exact = Fraction(float(argv[5 + 2 * m])) * B ** 2 / b ** (3 + 2 * m)
+            assert record[key] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("argv, value", [
         (["--direction", "contraction", "--truncate", "400"], -9.411183399038191e+267),

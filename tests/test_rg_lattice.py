@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,36 @@ class TestRgRescale:
                                 (two.higher[0], one.higher[0]),
                             ):
                                 assert abs(u - v) <= 1e-15 * abs(v)
+
+    def test_normal_path_is_bit_identical(self):
+        # wherever its steps stay in the normal range the value is the plain
+        # float form c * (B / b^e)^2
+        params = LGParams(t=0.7, K=1.3, L=0.45, higher=(-0.2, 0.05))
+        for d in (1, 2, 3, 4, 7):
+            for b in (1.0000001, 1.05, 1.5, 2.0, 3.7, 1e10):
+                for B in (0.3, 1.0, 2.5, fixed_point_field_scale(b, d), 1e20):
+                    out = rg_rescale(params, b, B, d)
+                    plain = [c * (B / b ** ((d + 2 * m) / 2.0)) ** 2
+                             for m, c in enumerate(params.coefficients)]
+                    assert [out.t, out.K, out.L, *out.higher] == plain
+
+    # the command-line cases are in test_cli; these need `higher` or a large d
+    @pytest.mark.parametrize("params, b, B, d", [
+        (LGParams(t=1e-250, K=1.0, higher=(0.5, -1e300)), 3e100, 7e150, 2),  # b^4 overflows
+        (LGParams(t=1.0, K=1.0), 2.0, 1e300, 2100),  # b^1050 overflows
+    ])
+    def test_values_whose_steps_leave_the_float_range(self, params, b, B, d):
+        out = rg_rescale(params, b, B, d)
+        for m, (c, value) in enumerate(zip(params.coefficients, [out.t, out.K, out.L, *out.higher])):
+            exact = Fraction(c) * Fraction(B) ** 2 / Fraction(b) ** (d + 2 * m)
+            assert value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+            assert math.copysign(1.0, value) == math.copysign(1.0, c)
+
+    def test_below_the_float_range_for_any_dimension(self):
+        # b^e splits into few factors before B / b^e is below every float
+        out = rg_rescale(LGParams(t=1.0, K=1.0, higher=(-1.0,)), 1.05, 2.0, 10 ** 18)
+        assert (out.t, out.K) == (0.0, 0.0)
+        assert out.higher[0] == 0.0 and math.copysign(1.0, out.higher[0]) == -1.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
