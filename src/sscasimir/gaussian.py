@@ -18,11 +18,10 @@ periodic lattices verify the underlying Fourier identities exactly.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .plates import _power
+from .plates import _TINY, _power, _scaled
 from .quadrature import QuadratureConvergenceError, QuadratureResult, integrate
 
 # numpy is imported only where an array is made: the other layers and the
@@ -133,15 +132,25 @@ class ShellSpec:
     temperature: float
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _dimension(self.dim))
         if not (math.isfinite(self.cutoff) and self.cutoff > 0.0):
             raise ValueError("cutoff must be positive")
         if not (math.isfinite(self.shell_factor) and self.shell_factor > 1.0):
             raise ValueError("shell factor must be > 1 (non-degenerate shell)")
         if not (math.isfinite(self.temperature) and self.temperature > 0.0):
             raise ValueError("temperature must be positive")
+
+
+def _dimension(d: int) -> int:
+    """d as an int, once it is an integer >= 1."""
+    if int(d) != d or d < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    return int(d)
+
+
+def _check_rescale_factor(b: float) -> None:
+    if not (math.isfinite(b) and b > 1.0):
+        raise ValueError("rescale factor b must be > 1")
 
 
 def _horner(coeffs: Sequence[float], u: float) -> float:
@@ -216,8 +225,7 @@ def _integrand(coeffs: Sequence[float], d: int):
 
 def solid_angle(d: int) -> float:
     """Surface of the unit (d-1)-sphere, 2 pi^(d/2) / Gamma(d/2)."""
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    d = _dimension(d)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
@@ -374,55 +382,30 @@ def rg_rescale(params: LGParams, b: float, field_scale: float, d: int) -> LGPara
     rounding.  A coefficient whose steps leave the float range keeps its
     value; one beyond the float range raises ValueError.
     """
-    if not (math.isfinite(b) and b > 1.0):
-        raise ValueError("rescale factor b must be > 1")
+    _check_rescale_factor(b)
     if not (math.isfinite(field_scale) and field_scale > 0.0):
         raise ValueError("field scale must be positive")
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    d = _dimension(d)
 
-    t, K, L, *higher = (_rescaled(c, field_scale, b, (d + 2 * m) / 2.0)
+    t, K, L, *higher = (_rescaled(c, field_scale, b, d + 2 * m)
                         for m, c in enumerate(params.coefficients))
     return LGParams(t, K, L, tuple(higher))
 
 
-_TINY = sys.float_info.min      # smallest normal float
+def _rescaled(c: float, B: float, b: float, k: int) -> float:
+    """c (B / b^(k/2))^2, in that float form wherever its steps stay normal.
 
-
-def _rescaled(c: float, B: float, b: float, e: float) -> float:
-    """c (B / b^e)^2, in that float form wherever its steps stay normal.
-
-    Where b^e overflows, (B / b^e)^2 leaves the normal range or the product
-    overflows, the value comes from mantissas and exponents kept apart
-    instead: b^e as n equal float factors b^(e/n), n = 1, 2, 4, ..., divided
-    out of B one at a time.  Then a value below the float range is 0.0 and
-    one beyond it raises ValueError.
+    Where b^(k/2) overflows, the squared factor is not a normal float or the
+    product overflows, it is plates._scaled's c B^2 b^-k instead.
     """
     try:
-        factor = (B / b ** e) ** 2
+        factor = (B / b ** (k / 2.0)) ** 2
     except OverflowError:
         factor = math.inf
     value = c * factor
     if _TINY <= factor and abs(value) < math.inf:
         return value
-    n = 1
-    while math.isinf(piece := _power(b, e / n)):
-        n *= 2
-    # n > 1 only where b^(2e/n) overflows, so each piece then exceeds 2^512
-    # and a few divisions take B / b^e below 2^-1100, where c times its
-    # square (c < 2^1024) is below every float
-    ratio, exponent = math.frexp(B)
-    for _ in range(n):
-        ratio, shift = math.frexp(ratio / piece)
-        exponent += shift
-        if exponent < -1100:
-            break
-    mantissa, shift = math.frexp(c)
-    try:
-        return math.ldexp(mantissa * ratio * ratio, shift + 2 * exponent)
-    except OverflowError:
-        raise ValueError(f"value beyond the float range: c (B / b^e)^2 with c = {c!r}, "
-                         f"B = {B!r}, b = {b!r}, e = {e!r}") from None
+    return _scaled(c, (B, 2), (b, -k))
 
 
 def fixed_point_field_scale(b: float, d: int) -> float:
@@ -430,10 +413,8 @@ def fixed_point_field_scale(b: float, d: int) -> float:
 
     Raises ValueError when that power is beyond the float range.
     """
-    if not (math.isfinite(b) and b > 1.0):
-        raise ValueError("rescale factor b must be > 1")
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    _check_rescale_factor(b)
+    d = _dimension(d)
     scale = _power(b, (d + 2) / 2.0)
     if math.isinf(scale):
         raise ValueError(f"value beyond the float range: b^{(d + 2) / 2.0!r} for b = {b!r}")

@@ -107,56 +107,64 @@ def _power(base: float, k: float) -> float:
         return math.inf
 
 
-def _minus_pi_sq_over(denominator: float, *factors: float) -> float:
-    """-pi^2 / denominator, where denominator is the rounded product of factors.
+_TINY = 2.0 ** -1022      # smallest normal float
 
-    A positive float denominator is used as it is.  One that has left the
-    float range (inf, 0, or nan from 0 * inf) while every factor is a
-    positive float is divided out of the factors' mantissas and exponents
-    apart, so the quotient keeps its normal or subnormal value and is -0.0
-    only below the float range.  Otherwise an inf denominator (an inf
-    factor) gives the limit -0.0, and a 0 factor, or a quotient beyond the
-    float range, raises ValueError.
+
+def _scaled(c: float, *powers: tuple[float, int]) -> float:
+    """c * prod(base ** k) over powers, rounded once from its exact fraction.
+
+    The one float-range rule: a caller takes its plain float expression only
+    where each power, product and quotient in it is a normal float, and this
+    elsewhere.  Each base is a positive float, or inf or 0 standing for its
+    limit, and each k an integer.  A value below the float range is a zero
+    with c's sign; one beyond it raises ValueError.
     """
-    if not 0.0 < denominator < math.inf and 0.0 < min(factors) <= max(factors) < math.inf:
-        quotient, exponent = -_PI_SQ, 0
-        for factor in factors:
-            mantissa, e = math.frexp(factor)
-            quotient /= mantissa
-            exponent -= e
+    if not c:
+        return c
+    # its log2, to decide at once a value far outside the float range
+    # (2^-1075 to 2^1024); that also bounds the integers built below
+    log2 = math.log2(abs(c)) + sum(k * math.log2(base) if base else -k * math.inf
+                                   for base, k in powers)
+    if log2 < -1100.0:
+        return math.copysign(0.0, c)
+    if log2 < 1100.0:
+        num, den = c.as_integer_ratio()
+        for base, k in powers:
+            n, d = base.as_integer_ratio()
+            if k < 0:
+                n, d, k = d, n, -k
+            num, den = num * n ** k, den * d ** k
         try:
-            return math.ldexp(quotient, exponent)
+            return num / den
         except OverflowError:
-            value = -math.inf
-    else:
-        value = -_PI_SQ / denominator if denominator else -math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"value beyond the float range: its denominator is {denominator!r}")
-    return value
+            pass
+    factors = "".join(f" * {base!r}^{k}" for base, k in powers)
+    raise ValueError(f"value beyond the float range: {c!r}{factors}")
 
 
-def _pair_energy(gap: float) -> float:
-    """Dirichlet pair energy -pi^2/(1440 gap^3) of a positive gap, inf allowed.
+def _pair_energy(gap: float, scale: float = 1440.0) -> float:
+    """Pair energy -pi^2/(scale gap^3) of a positive gap, inf allowed.
 
+    The default scale gives the Dirichlet energy, and 720 exactly twice it.
     A gap beyond the float range (inf) gives the limit -0.0; one that
     underflows to 0 has an energy beyond the range (ValueError).
     """
-    return _minus_pi_sq_over(1440.0 * _power(gap, 3), 1440.0, gap, gap, gap)
+    cube = _power(gap, 3)
+    if _TINY <= cube and -math.inf < (energy := -_PI_SQ / (scale * cube)) < 0.0:
+        return energy
+    return _scaled(-_PI_SQ, (scale, -1), (gap, -3))
 
 
-def _contraction_gap(a: float, x: float, k: int) -> float:
-    """The k-th gap a (x - 1) / x^k (k >= 1) of a contraction stack.
+def _contraction_pair_energy(a: float, x: float, k: int) -> float:
+    """Pair energy of the k-th gap a (x - 1) / x^k (k >= 1) of a contraction stack.
 
-    Computed as written wherever a (x - 1) is a float, so those gaps keep
-    their bits.  Where it overflows, the gap is (a / x) (x - 1) / x^(k-1),
-    with x^(k-1) divided out in two halves, each of which is a float
-    whenever the gap's pair energy is one.
+    From that gap as written wherever a (x - 1) is a float, so those
+    energies keep their bits; elsewhere from _scaled.
     """
     scaled = a * (x - 1.0)
     if scaled != math.inf:
-        return scaled / _power(x, k)
-    half = (k - 1) // 2
-    return a / x * (x - 1.0) / _power(x, half) / _power(x, k - 1 - half)
+        return _pair_energy(scaled / _power(x, k))
+    return _scaled(-_PI_SQ, (1440.0, -1), (a, -3), (x - 1.0, -3), (x, 3 * k))
 
 
 def pair_interaction_energy(a: float, kind: FieldKind = FieldKind.DIRICHLET_SCALAR) -> EnergyDensity:
@@ -168,9 +176,7 @@ def pair_interaction_energy(a: float, kind: FieldKind = FieldKind.DIRICHLET_SCAL
     beyond the float range raises ValueError.
     """
     _check_spacing(a)
-    value = _pair_energy(a)
-    if kind is FieldKind.ELECTROMAGNETIC:
-        value = 2.0 * value
+    value = _pair_energy(a, 720.0 if kind is FieldKind.ELECTROMAGNETIC else 1440.0)
     return EnergyDensity(value, regularized=False)
 
 
@@ -180,7 +186,10 @@ def force_per_area(a: float) -> float:
     Equals -d/da of the electromagnetic pair energy; negative = attraction.
     """
     _check_spacing(a)
-    return _minus_pi_sq_over(240.0 * _power(a, 4), 240.0, a, a, a, a)
+    fourth = _power(a, 4)
+    if _TINY <= fourth and -math.inf < (force := -_PI_SQ / (240.0 * fourth)) < 0.0:
+        return force
+    return _scaled(-_PI_SQ, (240.0, -1), (a, -4))
 
 
 def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
@@ -191,11 +200,14 @@ def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
     """
     _check_spacing(a)
     _check_ratio(x)
-    cube = _power(x, 3)
-    # x^3 - 1 rounds to x^3 wherever x^3 overflows
-    last = (cube - 1.0,) if cube < math.inf else (x, x, x)
-    value = _minus_pi_sq_over(1440.0 * _power(a, 3) * _power(x - 1.0, 3) * (cube - 1.0),
-                              1440.0, a, a, a, x - 1.0, x - 1.0, x - 1.0, *last)
+    a3, gap3, cube = _power(a, 3), _power(x - 1.0, 3), _power(x, 3)
+    partial = 1440.0 * a3 * gap3
+    denominator = partial * (cube - 1.0)
+    if not (_TINY <= min(a3, gap3, partial, denominator)
+            and -math.inf < (value := -_PI_SQ / denominator) < 0.0):
+        # x^3 - 1 rounds to x^3 wherever x^3 overflows
+        last = (cube - 1.0, -1) if cube < math.inf else (x, -3)
+        value = _scaled(-_PI_SQ, (1440.0, -1), (a, -3), (x - 1.0, -3), last)
     return EnergyDensity(value, regularized=False)
 
 
@@ -207,7 +219,7 @@ def contraction_stack_energy(a: float, x: float) -> EnergyDensity:
     """
     _check_spacing(a)
     _check_ratio(x)
-    value = regularized_geometric_sum(_pair_energy(_contraction_gap(a, x, 1)), _power(x, 3))
+    value = regularized_geometric_sum(_contraction_pair_energy(a, x, 1), _power(x, 3))
     return EnergyDensity(value, regularized=True)
 
 
@@ -225,12 +237,12 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
         raise ValueError("truncation of the combined two-sided stack is not defined")
     a, x, n = config.base_spacing, config.ratio, config.truncation
     if config.direction is StackDirection.INFLATION:
-        gaps = (_power(x, k) * a * (x - 1.0) for k in range(1, n))
+        terms = (_pair_energy(_power(x, k) * a * (x - 1.0)) for k in range(1, n))
     else:
-        gaps = (_contraction_gap(a, x, k) for k in range(1, n))
+        terms = (_contraction_pair_energy(a, x, k) for k in range(1, n))
     # every term is <= 0, so a sum that underflows to zero is the limit -0.0
     # (fsum of -0.0 terms is 0.0)
-    value = math.fsum(_pair_energy(g) for g in gaps) or -0.0
+    value = math.fsum(terms) or -0.0
     return EnergyDensity(value, regularized=False)
 
 

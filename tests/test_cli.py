@@ -347,6 +347,9 @@ class TestMain:
         (["plates-pair", "--a", "1e103"], 0),
         (["plates-stack", "--a", "1e103", "--x", "2", "--direction", "inflation"], 0),
         (["plates-stack", "--a", "1", "--x", "1e103", "--direction", "contraction"], 0),
+        # a^3 is the subnormal 5e-324
+        (["plates-stack", "--a", "1.4245928539753432e-108", "--x", "3.54873614031611e+32",
+          "--direction", "inflation"], 0),
         (["plates-pair", "--a", "1e-110"], 2),
         (["plates-stack", "--a", "1", "--x", "1e200", "--direction", "contraction", "--truncate", "3"], 2),
     ])

@@ -1,8 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscasimir.plates import (
@@ -312,6 +313,51 @@ class TestHomogeneity:
         assert abs(scaled - expected) <= 1e-13 * abs(expected)
 
 
+MAX_FLOAT = Fraction(sys.float_info.max)
+POWERS_OF_TEN = st.floats(-110.0, 110.0).map(lambda e: 10.0 ** e)
+
+
+def check_against_exact(compute, exact):
+    """compute() rounds exact to 1e-15 relative, or to a zero with exact's
+    sign below the float range, and raises ValueError beyond that range."""
+    if abs(exact) > MAX_FLOAT * (1 + Fraction(1, 10 ** 15)):
+        with pytest.raises(ValueError, match="float range"):
+            compute()
+    elif abs(exact) < MAX_FLOAT * (1 - Fraction(1, 10 ** 15)):
+        got = compute()
+        assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact) + 2.0 ** -1074
+        assert math.copysign(1.0, got) == (1.0 if exact > 0 else -1.0)
+
+
+class TestExactRationals:
+    """Energies across the float range against exact Fraction values; x >= 2
+    keeps away from x = 1, where x^3 - 1 loses digits on the normal path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=POWERS_OF_TEN)
+    @example(a=3.583711864256921e-104)  # a^3 is subnormal; the em energy is beyond the range
+    @example(a=1e-103)
+    def test_pair(self, a):
+        exact = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3)
+        check_against_exact(lambda: pair_interaction_energy(a).value, exact)
+        check_against_exact(lambda: pair_interaction_energy(a, FieldKind.ELECTROMAGNETIC).value,
+                            2 * exact)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=POWERS_OF_TEN)
+    @example(a=4.053672827854099e-78)
+    def test_force(self, a):
+        check_against_exact(lambda: force_per_area(a), -Fraction(PI_SQ) / (240 * Fraction(a) ** 4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=POWERS_OF_TEN, x=st.floats(0.0, 110.0).map(lambda e: 2.0 * 10.0 ** e))
+    @example(a=1.4245928539753432e-108, x=3.54873614031611e+32)
+    def test_inflation(self, a, x):
+        exact = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3 * (Fraction(x) - 1) ** 3
+                                    * (Fraction(x) ** 3 - 1))
+        check_against_exact(lambda: inflation_stack_energy(a, x).value, exact)
+
+
 class TestSigns:
     def test_signs_across_grid(self):
         for a in GRID_A:
@@ -371,10 +417,10 @@ class TestFloatRange:
         value = pair_interaction_energy(1e108).value
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
-    @pytest.mark.parametrize("a", [6.8e101, 1e103, 1e104, 5.7e102, 3e106, 1e107])
+    @pytest.mark.parametrize("a", [6.8e101, 1e103, 1e104, 5.7e102, 3e106, 1e107, 1e-103])
     def test_pair_whose_cube_overflows_keeps_its_value(self, a):
-        # 1440 a^3 is beyond the float range, -pi^2/(1440 a^3) is a normal
-        # or subnormal float: four roundings, the last maybe subnormal
+        # 1440 a^3 is beyond the float range, or a^3 is subnormal, and
+        # -pi^2/(1440 a^3) is a normal or subnormal float
         exact = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3)
         for kind, scale in ((FieldKind.DIRICHLET_SCALAR, 1), (FieldKind.ELECTROMAGNETIC, 2)):
             got = pair_interaction_energy(a, kind).value
@@ -398,16 +444,17 @@ class TestFloatRange:
         (1e-110, 1e103),         # a^3 underflows and (x-1)^3 overflows: 0 * inf
         (1e-100, 1e103),         # x^3 overflows, the energy is subnormal
         (1e-150, 1e50),          # a^3 underflows, the energy is large
+        (1.4245928539753432e-108, 3.54873614031611e+32),  # a^3 is the subnormal 5e-324
     ])
     def test_inflation_whose_product_leaves_the_float_range(self, a, x):
-        # x^3 - 1 is exact for these x, so the closed form is exact in Fractions
+        # x^3 - 1 rounds at most in its last bit for these x
         exact = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3 * (Fraction(x) - 1) ** 3
                                     * (Fraction(x) ** 3 - 1))
         got = inflation_stack_energy(a, x).value
         assert got < 0.0
         assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact) + 2.0 ** -1074
 
-    @pytest.mark.parametrize("a", [1e78, 1e80, 3e77])
+    @pytest.mark.parametrize("a", [1e78, 1e80, 3e77, 4.053672827854099e-78])
     def test_force_whose_fourth_power_leaves_the_float_range(self, a):
         exact = -Fraction(PI_SQ) / (240 * Fraction(a) ** 4)
         got = force_per_area(a)

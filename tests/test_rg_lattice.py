@@ -1,9 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscasimir.gaussian import (
@@ -95,6 +96,34 @@ class TestRgRescale:
         out = rg_rescale(LGParams(t=1.0, K=1.0, higher=(-1.0,)), 1.05, 2.0, 10 ** 18)
         assert (out.t, out.K) == (0.0, 0.0)
         assert out.higher[0] == 0.0 and math.copysign(1.0, out.higher[0]) == -1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), min_size=4, max_size=4),
+           b=st.floats(-12.0, 300.0).map(lambda e: 1.0 + 10.0 ** e),
+           B=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+           d=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 50, 400, 2100]))
+    @example(coeffs=[1e-250, 1.0, 0.5, 1e300], b=3e100, B=7e150, d=2)
+    @example(coeffs=[1.0, 1.0, 1.0, 1.0], b=2.0, B=1e300, d=2100)
+    @example(coeffs=[1e300, 1e300, 1e300, 1e300], b=4.0, B=2e-154, d=1)  # subnormal (B / b^e)^2
+    @example(coeffs=[0.0, 1.0, 0.0, 1.0], b=1e200, B=2.0, d=3)  # the critical point t = 0
+    def test_exact_across_the_float_range(self, coeffs, b, B, d):
+        # each coefficient c B^2 / b^(d + 2m) rounds its exact value to
+        # 1e-15 relative, or to a zero with c's sign below the float range;
+        # one beyond the float range raises ValueError
+        t, K, L, h = coeffs
+        params = LGParams(t=t, K=K, L=L, higher=(-h,))
+        exact = [Fraction(c) * Fraction(B) ** 2 / Fraction(b) ** (d + 2 * m)
+                 for m, c in enumerate(params.coefficients)]
+        largest = max(abs(e) for e in exact)
+        top = Fraction(sys.float_info.max)
+        if largest > top * (1 + Fraction(1, 10 ** 15)):
+            with pytest.raises(ValueError, match="float range"):
+                rg_rescale(params, b, B, d)
+        elif largest < top * (1 - Fraction(1, 10 ** 15)):
+            out = rg_rescale(params, b, B, d)
+            for value, c, e in zip([out.t, out.K, out.L, *out.higher], params.coefficients, exact):
+                assert abs(Fraction(value) - e) <= 1e-15 * abs(e) + 2.0 ** -1074
+                assert math.copysign(1.0, value) == math.copysign(1.0, c)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
