@@ -415,9 +415,10 @@ def fixed_point_field_scale(b: float, d: int) -> float:
     """
     _check_rescale_factor(b)
     d = _dimension(d)
-    scale = _power(b, (d + 2) / 2.0)
+    e = (d + 2) / 2.0 if d < 2 ** 1023 else math.inf    # a larger d is no float
+    scale = _power(b, e)
     if math.isinf(scale):
-        raise ValueError(f"value beyond the float range: b^{(d + 2) / 2.0!r} for b = {b!r}")
+        raise ValueError(f"value beyond the float range: b^{e!r} for b = {b!r}")
     return scale
 
 

@@ -108,34 +108,57 @@ def _power(base: float, k: float) -> float:
 
 
 _TINY = 2.0 ** -1022      # smallest normal float
+_BITS = 256               # mantissa bits _scaled keeps of each power
+
+
+def _int_power(n: int, k: int) -> tuple[int, int]:
+    """n ** k (k >= 0) as (m, e) with n ** k ~ m * 2^e, by left-to-right
+    square and multiply, m cut to _BITS bits at each of the log2 k steps."""
+    if k * n.bit_length() <= _BITS:
+        return n ** k, 0
+    m, e = 1, 0
+    for bit in bin(k)[2:]:
+        m = m * m * n if bit == "1" else m * m
+        s = max(m.bit_length() - _BITS, 0)
+        m, e = m >> s, 2 * e + s
+    return m, e
 
 
 def _scaled(c: float, *powers: tuple[float, int]) -> float:
-    """c * prod(base ** k) over powers, rounded once from its exact fraction.
+    """c * prod(base ** k) over powers, rounded once to a float.
 
     The one float-range rule: a caller takes its plain float expression only
     where each power, product and quotient in it is a normal float, and this
     elsewhere.  Each base is a positive float, or inf or 0 standing for its
-    limit, and each k an integer.  A value below the float range is a zero
-    with c's sign; one beyond it raises ValueError.
+    limit, and each k an integer.  Mantissas and exponents of two are kept
+    apart, each power's mantissa cut to _BITS bits in O(log |k|) steps, so
+    before its one rounding the value is within 2^-240 relative of exact for
+    |k| < 2^64.  A value below the float range is a zero with c's sign; one
+    beyond it raises ValueError.
     """
     if not c:
         return c
-    # its log2, to decide at once a value far outside the float range
-    # (2^-1075 to 2^1024); that also bounds the integers built below
-    log2 = math.log2(abs(c)) + sum(k * math.log2(base) if base else -k * math.inf
-                                   for base, k in powers)
-    if log2 < -1100.0:
+    mantissa, exponent = math.frexp(abs(c))
+    num, den, exponent = int(mantissa * 2.0 ** 53), 1, exponent - 53
+    limits = set()      # True where a power tends to inf, False where to 0
+    for base, k in powers:
+        if 0.0 < base < math.inf:
+            mantissa, e = math.frexp(base)
+            m, s = _int_power(int(mantissa * 2.0 ** 53), abs(k))
+            if k > 0:
+                num, exponent = num * m, exponent + s + k * (e - 53)
+            else:
+                den, exponent = den * m, exponent - s + k * (e - 53)
+        elif k:
+            limits.add((k > 0) == (base > 0.0))
+    # the value lies in [2^(size - 1), 2^(size + 1)); below 2^-1075 it rounds to 0
+    size = num.bit_length() - den.bit_length() + exponent
+    if limits == {False} or not limits and size < -1075:
         return math.copysign(0.0, c)
-    if log2 < 1100.0:
-        num, den = c.as_integer_ratio()
-        for base, k in powers:
-            n, d = base.as_integer_ratio()
-            if k < 0:
-                n, d, k = d, n, -k
-            num, den = num * n ** k, den * d ** k
+    if not limits and size <= 1025:
         try:
-            return num / den
+            value = num / (den << -exponent) if exponent < 0 else (num << exponent) / den
+            return math.copysign(value, c)
         except OverflowError:
             pass
     factors = "".join(f" * {base!r}^{k}" for base, k in powers)
@@ -158,12 +181,12 @@ def _pair_energy(gap: float, scale: float = 1440.0) -> float:
 def _contraction_pair_energy(a: float, x: float, k: int) -> float:
     """Pair energy of the k-th gap a (x - 1) / x^k (k >= 1) of a contraction stack.
 
-    From that gap as written wherever a (x - 1) is a float, so those
-    energies keep their bits; elsewhere from _scaled.
+    From that gap as written wherever a (x - 1) and x^k are floats, so
+    those energies keep their bits; elsewhere from _scaled.
     """
     scaled = a * (x - 1.0)
-    if scaled != math.inf:
-        return _pair_energy(scaled / _power(x, k))
+    if scaled != math.inf and (xk := _power(x, k)) != math.inf:
+        return _pair_energy(scaled / xk)
     return _scaled(-_PI_SQ, (1440.0, -1), (a, -3), (x - 1.0, -3), (x, 3 * k))
 
 

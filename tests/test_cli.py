@@ -350,6 +350,8 @@ class TestMain:
         # a^3 is the subnormal 5e-324
         (["plates-stack", "--a", "1.4245928539753432e-108", "--x", "3.54873614031611e+32",
           "--direction", "inflation"], 0),
+        # x^31 is beyond the float range, the gap a (x - 1) / x^31 is 0.01
+        (["plates-stack", "--a", "1e298", "--x", "1e10", "--direction", "contraction", "--truncate", "32"], 0),
         (["plates-pair", "--a", "1e-110"], 2),
         (["plates-stack", "--a", "1", "--x", "1e200", "--direction", "contraction", "--truncate", "3"], 2),
     ])
@@ -395,6 +397,25 @@ class TestMain:
         for m, key in enumerate("tKL"):
             exact = Fraction(float(argv[5 + 2 * m])) * B ** 2 / b ** (3 + 2 * m)
             assert record[key] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    def test_rg_with_huge_dimension_and_b_near_one(self, capsys):
+        # (B / b^(d/2))^2 ~ 3.7e-311 is subnormal; the values are floats
+        argv = ["gaussian-rg", "--d", "10000000", "--b", "1.0000001", "--B", "1e-155",
+                "--t", "1", "--K", "1", "--L", "1"]
+        assert main(argv) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        assert all(0.0 < record[key] < 1e-310 for key in "tKL")
+
+    def test_rg_with_a_400_digit_dimension(self, capsys):
+        argv = ["gaussian-rg", "--d", "1" + "0" * 400, "--b", "2", "--t", "1", "--K", "1", "--L", "1"]
+        # B^2 / b^d is below the float range
+        assert main(argv + ["--B", "3"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        assert (record["t"], record["K"], record["L"]) == (0.0, 0.0, 0.0)
+        # the automatic B = b^(d/2 + 1) is beyond it
+        assert main(argv) == 2
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["error"].startswith("value beyond the float range: ")
 
     @pytest.mark.parametrize("argv, value", [
         (["--direction", "contraction", "--truncate", "400"], -9.411183399038191e+267),

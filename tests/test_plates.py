@@ -20,6 +20,7 @@ from sscasimir.plates import (
     stack_energy,
     truncated_stack_energy,
 )
+from sscasimir.plates import _scaled
 from sscasimir.series import regularized_geometric_sum
 
 PI_SQ = math.pi ** 2
@@ -490,6 +491,30 @@ class TestFloatRange:
         config = StackConfig(1e308, 10.0, StackDirection.CONTRACTION, truncation=400)
         exact = sum(-Fraction(PI_SQ) / (1440 * (Fraction(1e308) * 9 / 10 ** k) ** 3) for k in range(1, 400))
         assert truncated_stack_energy(config).value == pytest.approx(float(exact), rel=1e-14)
+
+    @pytest.mark.parametrize("c, powers, expected", [
+        (-1.0, [(math.inf, -3)], -0.0),                 # inf^-3 stands for 0
+        (2.0, [(0.0, 3), (5.0, -2000)], 0.0),
+        (-3.0, [(1.0, 10 ** 100), (2.0, -1074)], -1.5e-323),
+    ])
+    def test_scaled_limits_and_huge_exponents(self, c, powers, expected):
+        got = _scaled(c, *powers)
+        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("powers", [[(0.0, -3)], [(math.inf, 2)], [(0.0, 3), (math.inf, 3)]])
+    def test_scaled_limits_beyond_the_float_range(self, powers):
+        with pytest.raises(ValueError, match="float range"):
+            _scaled(-1.0, *powers)
+
+    def test_contraction_gaps_whose_ratio_power_overflows(self):
+        # x^k is beyond the float range from k = 31, where the gap a (x - 1) / x^k
+        # is 0.01 and its energy the largest term of the sum
+        a, x, n = 1e298, 1e10, 32
+        config = StackConfig(a, x, StackDirection.CONTRACTION, truncation=n)
+        exact = sum(-Fraction(PI_SQ) / (1440 * (Fraction(a) * (Fraction(x) - 1) / Fraction(x) ** k) ** 3)
+                    for k in range(1, n))
+        got = truncated_stack_energy(config).value
+        assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact)
 
     @pytest.mark.parametrize("energy", [contraction_stack_energy, combined_stack_energy])
     def test_infinite_stacks_whose_numerator_overflows_are_their_limit(self, energy):

@@ -1,5 +1,7 @@
 import math
 import sys
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -91,8 +93,23 @@ class TestRgRescale:
             assert value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
             assert math.copysign(1.0, value) == math.copysign(1.0, c)
 
+    def test_huge_dimension_with_b_near_one(self):
+        # b^(d/2) ~ 1.65 and (B / b^(d/2))^2 ~ 3.7e-311 is
+        # subnormal; an exact b^d would have 5e8 bits, the fallback's cost
+        # grows with log d instead
+        params, b, B, d = LGParams(t=1.0, K=1e10, higher=(-1.0,)), 1.0000001, 1e-155, 10 ** 7
+        start = time.perf_counter()
+        out = rg_rescale(params, b, B, d)
+        assert time.perf_counter() - start < 1.0
+        with localcontext() as context:
+            context.prec = 60
+            for m, (c, value) in enumerate(zip(params.coefficients, [out.t, out.K, out.L, *out.higher])):
+                exact = Decimal(c) * Decimal(B) ** 2 / Decimal(b) ** (d + 2 * m)
+                assert abs(Decimal(value) - exact) <= Decimal(1e-15) * abs(exact) + Decimal(2.0 ** -1074)
+                assert math.copysign(1.0, value) == math.copysign(1.0, c)
+
     def test_below_the_float_range_for_any_dimension(self):
-        # b^e splits into few factors before B / b^e is below every float
+        # B / b^e is far below every float
         out = rg_rescale(LGParams(t=1.0, K=1.0, higher=(-1.0,)), 1.05, 2.0, 10 ** 18)
         assert (out.t, out.K) == (0.0, 0.0)
         assert out.higher[0] == 0.0 and math.copysign(1.0, out.higher[0]) == -1.0
