@@ -85,6 +85,10 @@ class SweepSpec:
             vals = [math.exp(llo + (lhi - llo) * i / (steps - 1)) for i in range(steps)]
         else:
             vals = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+            # where the width or its multiple overflows, add half of the offset twice
+            half = 0.5 * hi - 0.5 * lo
+            vals = [v if math.isfinite(v) else lo + half * (i / (steps - 1)) + half * (i / (steps - 1))
+                    for i, v in enumerate(vals)]
         vals[0], vals[-1] = lo, hi
         return vals
 

@@ -285,14 +285,26 @@ def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> None:
         raise UnstableKernelError(f"kernel is non-positive for {lo!r} < q < {hi!r}")
 
 
-def _shell_integral(params: LGParams, shell: ShellSpec, coeffs: Sequence[float], pref: float,
-                    scale: float = 1.0) -> QuadratureResult:
-    # pref * integral of _integrand(coeffs) over the shell times scale, once
-    # the kernel is positive on the shell
+def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResult:
+    """pref * the integral of _integrand(coeffs) over the shell times scale,
+    for (coeffs, pref, scale) = form(), once the kernel is positive on it.
+
+    The one float-range rule of the shell energies: a step that overflows or
+    divides by an underflowed kernel (ArithmeticError), or a value or error
+    estimate beyond the float range, raises ValueError naming that range.
+    """
     lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
     _check_positive_on(params.coefficients, lo, hi)
-    raw = integrate(_integrand(coeffs, shell.dim), lo * scale, hi * scale, rel_tol=1e-10)
-    return QuadratureResult(pref * raw.value, abs(pref) * raw.abs_error_estimate, raw.evaluations)
+    try:
+        coeffs, pref, scale = form()
+        raw = integrate(_integrand(coeffs, shell.dim), lo * scale, hi * scale, rel_tol=1e-10)
+        value, err = pref * raw.value, abs(pref) * raw.abs_error_estimate
+    except ArithmeticError:
+        value = err = math.inf
+    if max(abs(value), err) < math.inf:
+        return QuadratureResult(value, err, raw.evaluations)
+    raise ValueError(f"value beyond the float range: shell energy in d = {shell.dim} "
+                     f"over [{lo!r}, {hi!r}] at T = {shell.temperature!r}")
 
 
 def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:
@@ -302,9 +314,9 @@ def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResu
     (relative tolerance 1e-10) once the kernel is shown exactly to be
     positive across the shell; the result is then strictly negative.
     """
-    d = shell.dim
-    pref = -0.5 * shell.temperature ** 2 * radial_measure(d)
-    return _shell_integral(params, shell, params.coefficients, pref)
+    def form():
+        return params.coefficients, -0.5 * shell.temperature ** 2 * radial_measure(shell.dim), 1.0
+    return _shell_integral(params, shell, form)
 
 
 def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:
@@ -319,11 +331,14 @@ def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> Quadratu
     for name, v in (("t", t), ("K", K)):
         if v <= 0.0:
             raise ValueError(f"substitution q = sqrt(t/K) x is undefined for {name} <= 0")
-    # coefficients of x^(2m) in g(sqrt(t/K) x)/t: c_m t^(m-1) / K^m, from 1, 1
-    reduced = [1.0, 1.0] + [c * t ** (m - 1) / K ** m for m, c in enumerate(rest, start=2)]
-    d = shell.dim
-    pref = -0.5 * radial_measure(d) * (t / K) ** (d / 2.0) * shell.temperature ** 2 / t
-    return _shell_integral(params, shell, reduced, pref, math.sqrt(K / t))
+
+    def form():
+        # coefficients of x^(2m) in g(sqrt(t/K) x)/t: c_m t^(m-1) / K^m, from 1, 1
+        reduced = [1.0, 1.0] + [c * t ** (m - 1) / K ** m for m, c in enumerate(rest, start=2)]
+        d = shell.dim
+        pref = -0.5 * radial_measure(d) * (t / K) ** (d / 2.0) * shell.temperature ** 2 / t
+        return reduced, pref, math.sqrt(K / t)
+    return _shell_integral(params, shell, form)
 
 
 def leading_scaling_prediction(shell: ShellSpec, t: float) -> float:

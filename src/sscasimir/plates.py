@@ -17,6 +17,7 @@ which turns the infinite pair sum into a one-line fixed point:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,20 +109,14 @@ def _power(base: float, k: float) -> float:
 
 
 _TINY = 2.0 ** -1022      # smallest normal float
-_BITS = 256               # mantissa bits _scaled keeps of each power
 
 
-def _int_power(n: int, k: int) -> tuple[int, int]:
-    """n ** k (k >= 0) as (m, e) with n ** k ~ m * 2^e, by left-to-right
-    square and multiply, m cut to _BITS bits at each of the log2 k steps."""
-    if k * n.bit_length() <= _BITS:
-        return n ** k, 0
-    m, e = 1, 0
-    for bit in bin(k)[2:]:
-        m = m * m * n if bit == "1" else m * m
-        s = max(m.bit_length() - _BITS, 0)
-        m, e = m >> s, 2 * e + s
-    return m, e
+@functools.cache
+def _wide_context(digits: int):
+    """The decimal context of _scaled: digits significant digits, exponents to +-10^18."""
+    import decimal
+    return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.InvalidOperation, decimal.Overflow])
 
 
 def _scaled(c: float, *powers: tuple[float, int]) -> float:
@@ -130,37 +125,39 @@ def _scaled(c: float, *powers: tuple[float, int]) -> float:
     The one float-range rule: a caller takes its plain float expression only
     where each power, product and quotient in it is a normal float, and this
     elsewhere.  Each base is a positive float, or inf or 0 standing for its
-    limit, and each k an integer.  Mantissas and exponents of two are kept
-    apart, each power's mantissa cut to _BITS bits in O(log |k|) steps, so
-    before its one rounding the value is within 2^-240 relative of exact for
-    |k| < 2^64.  A value below the float range is a zero with c's sign; one
-    beyond it raises ValueError.
+    limit, and each k an integer.  The product is taken in the standard
+    library's decimal from the exact floats, each step rounded to 80 digits,
+    and float() rounds it once; where a tie between two floats lies within
+    10^-76 of it (Ziv's rounding test), at 2000 digits, which hold c times a
+    power of up to 1200 digits exactly.  A value below the float range is a
+    zero with c's sign; one beyond it raises ValueError.  A partial product
+    beyond 10^(+-10^18) is taken as its limit, which is exact unless another
+    factor about as far out brings it back; no caller passes two such.
     """
     if not c:
         return c
-    mantissa, exponent = math.frexp(abs(c))
-    num, den, exponent = int(mantissa * 2.0 ** 53), 1, exponent - 53
-    limits = set()      # True where a power tends to inf, False where to 0
-    for base, k in powers:
-        if 0.0 < base < math.inf:
-            mantissa, e = math.frexp(base)
-            m, s = _int_power(int(mantissa * 2.0 ** 53), abs(k))
-            if k > 0:
-                num, exponent = num * m, exponent + s + k * (e - 53)
-            else:
-                den, exponent = den * m, exponent - s + k * (e - 53)
-        elif k:
-            limits.add((k > 0) == (base > 0.0))
-    # the value lies in [2^(size - 1), 2^(size + 1)); below 2^-1075 it rounds to 0
-    size = num.bit_length() - den.bit_length() + exponent
-    if limits == {False} or not limits and size < -1075:
+    import decimal      # loaded only once a value leaves the float range
+    for digits in (80, 2000):
+        context = _wide_context(digits)
+        value = decimal.Decimal(c)
+        limits = set()      # True where a power tends to inf, False where to 0
+        for base, k in powers:
+            if 0.0 < base < math.inf:
+                try:
+                    value = context.multiply(value, context.power(decimal.Decimal(base), k))
+                except decimal.Overflow:
+                    limits.add(True)
+            elif k:
+                limits.add((k > 0) == (base > 0.0))
+        # the floats of both ends of the band agree unless a tie lies in it;
+        # the 2000-digit value is rounded as it is
+        band = context.scaleb(value, -76) if digits == 80 else 0
+        if limits or (result := float(context.subtract(value, band))) == float(context.add(value, band)):
+            break
+    if limits == {False}:
         return math.copysign(0.0, c)
-    if not limits and size <= 1025:
-        try:
-            value = num / (den << -exponent) if exponent < 0 else (num << exponent) / den
-            return math.copysign(value, c)
-        except OverflowError:
-            pass
+    if not limits and abs(result) < math.inf:
+        return result
     factors = "".join(f" * {base!r}^{k}" for base, k in powers)
     raise ValueError(f"value beyond the float range: {c!r}{factors}")
 
@@ -294,7 +291,11 @@ def functional_equation_residual(a: float, x: float, direction: StackDirection) 
     if direction is StackDirection.INFLATION:
         energy = inflation_stack_energy(a, x).value
         scaled_copy = energy / _power(x, 3)
-        bridge = pair_interaction_energy(x * x * a - x * a).value
+        gap = x * x * a - x * a
+        if 0.0 < gap < math.inf:
+            bridge = pair_interaction_energy(gap).value
+        else:   # the gap a x (x - 1) is beyond the float range
+            bridge = _scaled(-_PI_SQ, (1440.0, -1), (a, -3), (x, -3), (x - 1.0, -3))
     elif direction is StackDirection.CONTRACTION:
         energy = contraction_stack_energy(a, x).value
         scaled_copy = energy * _power(x, 3)

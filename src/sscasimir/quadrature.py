@@ -96,6 +96,15 @@ class QuadratureConvergenceError(RuntimeError):
         self.evaluations = evaluations
 
 
+def _centre(lo: float, hi: float) -> tuple[float, float]:
+    """Midpoint and half-width of [lo, hi] where 0.5 (hi + lo) or 0.5 (hi - lo)
+    overflows: the ends are halved first.  Halving a normal float is exact, so
+    both forms agree wherever both are finite, and the nodes of a panel near
+    the largest float stay inside it.  Callers take the plain form first: a
+    call on every panel would cost a few percent of integrate."""
+    return 0.5 * hi + 0.5 * lo, 0.5 * hi - 0.5 * lo
+
+
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One G7/K15 pass over [lo, hi]: (K15 value, error estimate).
 
@@ -105,8 +114,9 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     for finite samples changes at most the sign of a zero it holds, and that
     sign is lost in |K15 - G7|.
     """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if mid - mid or half - half:    # nan: the sum or the difference overflowed
+        mid, half = _centre(lo, hi)
     dx = half * _X1
     a1 = f(mid + dx)
     b1 = f(mid - dx)
@@ -147,16 +157,14 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
         # the skipped Gauss terms are nan where a pair sum is not finite
         gauss += 0.0 * (a1 + b1) + 0.0 * (a3 + b3) + 0.0 * (a5 + b5) + 0.0 * (a7 + b7)
         _raise_non_finite((a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, fc),
-                          lo, hi, value, max(abs(kronrod - gauss) * half, _FLOOR * resabs))
+                          lo, hi, mid, half, value, max(abs(kronrod - gauss) * half, _FLOOR * resabs))
     return value, err
 
 
-def _raise_non_finite(samples: tuple[float, ...], lo: float, hi: float,
-                      value: float, err: float) -> NoReturn:
-    """Name the first node of [lo, hi] whose sample, of the 15 in _panel's
-    call order, is not finite (ValueError)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+def _raise_non_finite(samples: tuple[float, ...], lo: float, hi: float, mid: float,
+                      half: float, value: float, err: float) -> NoReturn:
+    """Name the first node of [lo, hi] (midpoint mid, half-width half) whose
+    sample, of the 15 in _panel's call order, is not finite (ValueError)."""
     nodes = [mid + sign * (half * node) for node in _NODES[:-1] for sign in (1.0, -1.0)]
     for x, fx in zip(nodes + [mid], samples):
         if not math.isfinite(fx):
@@ -223,6 +231,8 @@ def integrate(
             raise QuadratureConvergenceError(total, total_err, evaluations)
         neg_err, worst, plo, phi, old = heapq.heappop(heap)
         mid = 0.5 * (plo + phi)
+        if mid - mid:   # nan: the sum overflowed
+            mid = _centre(plo, phi)[0]
         if mid <= plo or mid >= phi:
             # interval at floating resolution; cannot refine further
             raise QuadratureConvergenceError(total, total_err, evaluations)

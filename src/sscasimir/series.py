@@ -226,7 +226,8 @@ def self_similar_sum(series: PowerSeries, x: float, tol: float = 1e-10) -> Regul
     vanishes; otherwise the series has no fraction of this form, and
     DegenerateSeriesError is raised only if no convergent built from the
     levels above it was accepted.  to_continued_fraction, which needs every
-    level, raises it for such a series whatever x is.
+    level, raises it for such a series whatever x is.  A returned value or
+    residual beyond the float range raises ValueError naming that range.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -247,6 +248,9 @@ def self_similar_sum(series: PowerSeries, x: float, tol: float = 1e-10) -> Regul
         raise InsufficientConvergentsError(
             "fewer than two defined convergents; cannot assess convergence"
         )
+    if not (math.isfinite(result.value) and math.isfinite(result.residual)):
+        raise ValueError(f"value beyond the float range: convergent {result.convergents_used} "
+                         f"at x = {x!r} is {result.value!r}, residual {result.residual!r}")
     return result
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscasimir import cli
 from sscasimir.cli import (
@@ -21,9 +24,16 @@ from sscasimir.cli import (
     parse_config,
     render,
 )
-from sscasimir.plates import inflation_stack_energy
+from sscasimir.plates import StackDirection, functional_equation_residual, inflation_stack_energy
 
 PI_SQ = math.pi ** 2
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_csv(argv):
@@ -180,6 +190,17 @@ class TestSweepSpec:
         grid = SweepSpec(variable="x", lo=1.0, hi=100.0, steps=3, log=True).grid()
         assert grid[0] == 1.0 and grid[-1] == 100.0
         assert grid[1] == pytest.approx(10.0, rel=1e-12)
+
+    def test_linear_grid_whose_width_overflows(self):
+        grid = SweepSpec(variable="x", lo=-1e308, hi=1e308, steps=5).grid()
+        assert grid == [-1e308, -5e307, 0.0, 5e307, 1e308]
+
+    def test_linear_grid_whose_offsets_overflow(self):
+        # (hi - lo) * 2 overflows; (hi - lo) * 1 / 3 keeps its bits
+        hi = sys.float_info.max
+        grid = SweepSpec(variable="x", lo=0.0, hi=hi, steps=4).grid()
+        assert grid[:2] == [0.0, hi * 1 / 3] and grid[3] == hi
+        assert grid[2] == pytest.approx(2 * (hi / 3), rel=1e-15)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -354,16 +375,36 @@ class TestMain:
         (["plates-stack", "--a", "1e298", "--x", "1e10", "--direction", "contraction", "--truncate", "32"], 0),
         (["plates-pair", "--a", "1e-110"], 2),
         (["plates-stack", "--a", "1", "--x", "1e200", "--direction", "contraction", "--truncate", "3"], 2),
+        # T^2, q^(d-1) and Gamma(d/2) overflow, and a 400-digit d is no float
+        (["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1e200", "--t", "1", "--K", "1"], 2),
+        (["gaussian-energy", "--d", "3", "--lambda", "1e308", "--b", "2", "--T", "1", "--t", "1", "--K", "1"], 2),
+        (["gaussian-energy", "--d", "344", "--lambda", "1", "--b", "2", "--T", "1", "--t", "1", "--K", "1"], 2),
+        (["gaussian-energy", "--d", "1" + "0" * 400, "--lambda", "1", "--b", "2", "--T", "1", "--t", "1",
+          "--K", "1"], 2),
+        # the shell's midpoint overflowed and its nodes were inf
+        (["gaussian-energy", "--d", "3", "--lambda", "1.7e308", "--b", "1.1", "--T", "1", "--t", "1",
+          "--K", "0"], 2),
+        (["series-resum", "--coeffs", "[1.7976931348623157e+308, 1e+308, 1.7976931348623157e+308, "
+          "-1.0000000000000002, -3.0]", "--x", "1e+200"], 2),
     ])
     def test_float_range_inputs_exit_cleanly(self, argv, code, capsys):
         assert main(argv) == code
         out, err = capsys.readouterr()
         assert err == ""
-        record = json.loads(out)[0]
+        record = strict_json(out)[0]
         if code == 0:
             assert math.isfinite(record["value"])
         else:
             assert "float range" in record["error"]
+
+    def test_sweep_whose_width_overflows(self, capsys):
+        # hi - lo overflowed: the middle point was inf and printed as Infinity
+        argv = ["plates-sweep", "--a", "1", "--direction", "inflation", "--x-min", "-1e308",
+                "--x-max", "1e308", "--steps", "3"]
+        assert main(argv) == 0
+        records = strict_json(capsys.readouterr().out)
+        assert [r["x"] for r in records] == [-1e308, 0.0, 1e308]
+        assert records[1]["error"] == "stack ratio must be > 1, got 0.0"
 
     @pytest.mark.parametrize("argv, square", [
         # B auto = b^2.5, whose square is b^5
@@ -541,6 +582,10 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+    assert "decimal" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["plates-pair", "--a", "1e105"]) == 0
+assert "decimal" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["lattice-check", "--d", "2", "--sites", "8", "--seed", "7"]) == 0
 assert "numpy" in sys.modules
@@ -548,9 +593,119 @@ assert "numpy" in sys.modules
 
 
 def test_commands_without_arrays_do_not_import_numpy():
-    # a fresh interpreter: this test process has imported numpy already
+    # a fresh interpreter: this test process has imported numpy already.
+    # decimal, too, loads only once a value leaves the float range
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, json.dumps(_NO_ARRAYS)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# The contract of main over the inputs the parameters admit: no exception
+# escapes, the exit code follows the README, stdout is strict JSON (every
+# printed value finite or a signed zero), and no error is a bare arithmetic
+# message or an input check that blames a derived value.  Draws favour the
+# ends of the float range.  Size parameters (sites, truncate, steps, the
+# coefficient count) stay small: memory-sized inputs are no float-range
+# question.
+
+_MAX = sys.float_info.max
+_POSITIVE = (st.sampled_from((5e-324, 2.0 ** -1022, _MAX, 1.0 + 2.0 ** -52, 1e308, 1.0, 2.0, 0.5))
+             | st.floats(min_value=5e-324, max_value=_MAX))
+_NON_NEGATIVE = st.just(0.0) | _POSITIVE
+_ABOVE_ONE = (st.sampled_from((1.0 + 2.0 ** -52, 1.5, 2.0, 1e308, _MAX))
+              | st.floats(min_value=1.0, max_value=_MAX, exclude_min=True))
+_NUMBER = _NON_NEGATIVE | _POSITIVE.map(lambda v: -v)
+_DIMENSION = st.sampled_from((1, 343, 344, 2100, 10 ** 400)) | st.integers(1, 4)
+_BARE_ERRORS = ("Numerical result out of range", "math range error", "int too large",
+                "got nan", "got inf", "x = inf")
+
+
+def _flags(draw, **values):
+    """argv flags from name=strategy pairs (underscores become dashes); a
+    strategy drawing None leaves its flag out, True gives a bare flag."""
+    argv = []
+    for name, strategy in values.items():
+        value = draw(strategy)
+        if value is None or value is False:
+            continue
+        argv.append("--" + name.replace("_", "-"))
+        if value is not True:
+            argv.append(value if isinstance(value, str) else json.dumps(value))
+    return argv
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+def _shell(draw):
+    return _flags(draw, d=_DIMENSION, **{"lambda": _POSITIVE}, b=_ABOVE_ONE, T=_POSITIVE,
+                  t=_NON_NEGATIVE, K=_NON_NEGATIVE, L=_maybe(_NON_NEGATIVE),
+                  higher=_maybe(st.lists(_NUMBER, max_size=3)))
+
+
+_DIRECTIONS = st.sampled_from(("inflation", "contraction", "combined"))
+_STEPS = st.integers(2, 8)
+_COMMAND_ARGV = {
+    "plates-pair": lambda draw: _flags(draw, a=_POSITIVE, kind=_maybe(st.sampled_from(("dirichlet", "em")))),
+    "plates-stack": lambda draw: _flags(draw, a=_POSITIVE, x=_ABOVE_ONE, direction=_DIRECTIONS,
+                                        truncate=_maybe(st.integers(2, 64))),
+    "plates-sweep": lambda draw: _flags(draw, a=_POSITIVE, direction=_DIRECTIONS, x_min=_NUMBER,
+                                        x_max=_NUMBER, steps=_STEPS, log=st.booleans()),
+    "series-resum": lambda draw: _flags(
+        draw, coeffs=st.tuples(_NUMBER.filter(bool), st.lists(_NUMBER, max_size=11)).map(
+            lambda t: [t[0], *t[1]]),
+        x=_NUMBER, tol=_maybe(_POSITIVE)),
+    "gaussian-energy": _shell,
+    "gaussian-sweep": lambda draw: _flags(draw, var=st.sampled_from(("lambda", "b", "t")), min=_NUMBER,
+                                          max=_NUMBER, steps=_STEPS, log=st.booleans(),
+                                          fit=st.booleans()) + _shell(draw),
+    "gaussian-rg": lambda draw: _flags(draw, d=_DIMENSION, b=_ABOVE_ONE,
+                                       B=_maybe(st.just("auto") | _POSITIVE), t=_NON_NEGATIVE,
+                                       K=_NON_NEGATIVE, L=_NON_NEGATIVE),
+    "lattice-check": lambda draw: _flags(draw, d=st.sampled_from((1, 2)), sites=st.integers(2, 64),
+                                         seed=_maybe(st.integers(0, 2 ** 32))),
+}
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(_COMMAND_ARGV)))
+    return [name] + _COMMAND_ARGV[name](draw)
+
+
+def test_command_table_is_covered():
+    assert set(_COMMAND_ARGV) == set(cli.COMMANDS)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_main_contract_over_admitted_inputs(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1:
+        assert out == "" and err.startswith("error: ")
+        return
+    assert err == ""
+    records = strict_json(out)
+    rows = [r for r in records if "exponent" not in r]
+    assert code == (2 if all("error" in r for r in rows) else 0)
+    for record in records:
+        assert not any(bare in record.get("error", "") for bare in _BARE_ERRORS), record
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_POSITIVE, x=_ABOVE_ONE,
+       direction=st.sampled_from((StackDirection.INFLATION, StackDirection.CONTRACTION)))
+def test_functional_equation_residual_over_the_float_range(a, x, direction):
+    try:
+        residual = functional_equation_residual(a, x, direction)
+    except ValueError as exc:
+        assert "float range" in str(exc)
+    else:
+        assert math.isfinite(residual)

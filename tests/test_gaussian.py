@@ -24,6 +24,7 @@ from sscasimir.gaussian import (
     kernel,
     leading_scaling_prediction,
     lg_params_at,
+    mode_split_log_partition,
     radial_measure,
     solid_angle,
 )
@@ -325,6 +326,53 @@ class TestCasimirEnergyDensity:
             ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0),
         )
         assert energy.value == pytest.approx(fd, rel=1e-8)
+
+
+class TestShellEnergyFloatRange:
+    """A shell energy with a step beyond the float range names that range."""
+
+    @pytest.mark.parametrize("d, lam, b, T, t, K", [
+        (3, 1.0, 2.0, 1e200, 1.0, 1.0),         # T^2 overflows
+        (3, 1e308, 2.0, 1.0, 1.0, 1.0),         # q^2 overflows
+        (344, 1.0, 2.0, 1.0, 1.0, 1.0),         # Gamma(d/2) overflows
+        (10 ** 400, 1.0, 2.0, 1.0, 1.0, 1.0),   # d is no float
+        (3, 1.7e308, 1.1, 1.0, 1.0, 0.0),       # the shell's first midpoint overflowed
+        (1, 1e-10, 2.0, 1.0, 0.0, 5e-324),      # g = K q^2 underflows to 0
+    ], ids=["T-squared", "q-power", "gamma", "400-digit-d", "midpoint", "kernel-underflow"])
+    def test_names_the_float_range(self, d, lam, b, T, t, K):
+        shell = ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=T)
+        with pytest.raises(ValueError, match="^value beyond the float range: "):
+            casimir_energy_density(LGParams(t=t, K=K), shell)
+
+    def test_dimensionless_form_names_the_float_range(self):
+        # (t/K)^(d/2) overflows
+        shell = ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0)
+        with pytest.raises(ValueError, match="^value beyond the float range: "):
+            dimensionless_energy_density(LGParams(t=1e300, K=1e-300), shell)
+
+    def test_energy_below_the_float_range_is_minus_zero(self):
+        # d = 343: Gamma(d/2) is a float, k_d is below the float range, and the
+        # energy is the limit -0.0
+        shell = ShellSpec(dim=343, cutoff=1.0, shell_factor=2.0, temperature=1.0)
+        out = casimir_energy_density(LGParams(t=1.0, K=1.0), shell)
+        assert out.value == 0.0 and math.copysign(1.0, out.value) == -1.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LGParams(t=math.inf, K=1.0), "t must be finite"),
+    (lambda: LGParams(t=1.0, K=1.0, higher=(math.nan,)), "higher coefficients must be finite"),
+    (lambda: ShellSpec(dim=3, cutoff=math.inf, shell_factor=2.0, temperature=1.0),
+     "cutoff must be positive"),
+    (lambda: ShellSpec(dim=3, cutoff=1.0, shell_factor=1.0, temperature=1.0),
+     "shell factor must be > 1"),
+    (lambda: ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=0.0),
+     "temperature must be positive"),
+    (lambda: mode_split_log_partition([], 2.0, math.nan), "cutoff must be positive"),
+    (lambda: mode_split_log_partition([], math.inf, 1.0), "split factor b must be > 1"),
+])
+def test_input_checks(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def power_law_energy(d, lam, b, T, K):

@@ -316,6 +316,11 @@ class TestHomogeneity:
 
 MAX_FLOAT = Fraction(sys.float_info.max)
 POWERS_OF_TEN = st.floats(-110.0, 110.0).map(lambda e: 10.0 ** e)
+# the ends of the float range, 1 + ulp, and bases whose products with a
+# float are often exact ties between two floats
+SCALED_EDGES = (5e-324, 2.0 ** -1022, sys.float_info.max, 1.0 + 2.0 ** -52, 1e308, 1.5, 0.75, 3.0)
+SCALED_BASES = (st.floats(min_value=5e-324, max_value=sys.float_info.max)
+                | st.sampled_from(SCALED_EDGES + (0.0, math.inf)))
 
 
 def check_against_exact(compute, exact):
@@ -479,6 +484,13 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="float range"):
             functional_equation_residual(1.0, 1e103, StackDirection.CONTRACTION)
 
+    @pytest.mark.parametrize("a, x", [(1e300, 1e10), (1e200, 1e60)])
+    def test_residual_whose_bridge_gap_overflows(self, a, x):
+        # x^2 a - x a is inf - inf or inf; the bridge energy is the limit -0.0,
+        # as the stack energy and its scaled copy are
+        assert inflation_stack_energy(a, x).value == 0.0
+        assert functional_equation_residual(a, x, StackDirection.INFLATION) == 0.0
+
     def test_underflowed_contraction_gap_names_the_float_range(self):
         # the gap a (x - 1) / x^k underflows to 0 once x^k is beyond the float range
         config = StackConfig(1.0, 1e200, StackDirection.CONTRACTION, truncation=3)
@@ -496,15 +508,47 @@ class TestFloatRange:
         (-1.0, [(math.inf, -3)], -0.0),                 # inf^-3 stands for 0
         (2.0, [(0.0, 3), (5.0, -2000)], 0.0),
         (-3.0, [(1.0, 10 ** 100), (2.0, -1074)], -1.5e-323),
+        (3.0, [(2.0, -10 ** 19)], 0.0),                 # below 10^(-10^18): 0
     ])
     def test_scaled_limits_and_huge_exponents(self, c, powers, expected):
         got = _scaled(c, *powers)
         assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
 
-    @pytest.mark.parametrize("powers", [[(0.0, -3)], [(math.inf, 2)], [(0.0, 3), (math.inf, 3)]])
+    @pytest.mark.parametrize("powers", [[(0.0, -3)], [(math.inf, 2)], [(0.0, 3), (math.inf, 3)],
+                                        [(2.0, 10 ** 19)]])     # beyond 10^(10^18): inf
     def test_scaled_limits_beyond_the_float_range(self, powers):
         with pytest.raises(ValueError, match="float range"):
             _scaled(-1.0, *powers)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(c=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SCALED_EDGES),
+           powers=st.lists(st.tuples(SCALED_BASES, st.integers(-64, 64)), min_size=1, max_size=4))
+    @example(c=2.4270071603837026e+220, powers=[(1.5, 1)])     # an exact tie of two floats
+    @example(c=-8.1587408398627e-311, powers=[(716.5, 1)])
+    def test_scaled_is_the_exact_product_rounded_once(self, c, powers):
+        # float() of the exact Fraction rounds once, ties to even; an inf or 0
+        # base with k = 0 is the factor 1
+        limits = {(k > 0) == (base > 0.0) for base, k in powers if k and base in (0.0, math.inf)}
+        if not c:
+            expected = c
+        elif limits == {False}:
+            expected = math.copysign(0.0, c)
+        elif limits:
+            expected = None
+        else:
+            try:
+                expected = float(Fraction(c) * math.prod(Fraction(base) ** k for base, k in powers
+                                                          if 0.0 < base < math.inf))
+            except OverflowError:
+                expected = None
+            else:
+                expected = math.copysign(expected, c)
+        if expected is None:
+            with pytest.raises(ValueError, match="float range"):
+                _scaled(c, *powers)
+        else:
+            got = _scaled(c, *powers)
+            assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
 
     def test_contraction_gaps_whose_ratio_power_overflows(self):
         # x^k is beyond the float range from k = 31, where the gap a (x - 1) / x^k

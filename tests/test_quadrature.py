@@ -195,6 +195,9 @@ class TestRefinementOrder:
     @pytest.mark.parametrize("f, lo, hi, rel_tol, max_evals", [
         (lambda x: math.sin(40.0 * x) ** 2 + 1e-3, 0.0, 10.0, 1e-12, 45),
         (_below_cliff, *_CLIFF_SHELL, 1e-10, 3015),
+        # one panel at floating resolution: its midpoint is an end, so it
+        # stops after 15 evaluations
+        (lambda x: 1.0 if x == 1.0 else 0.0, 1.0, math.nextafter(1.0, 2.0), 1e-10, 10 ** 6),
     ])
     def test_budget_limited_runs(self, f, lo, hi, rel_tol, max_evals):
         _assert_same_as_oracle(f, lo, hi, rel_tol=rel_tol, max_evals=max_evals)
@@ -239,6 +242,23 @@ class TestNonFiniteSamples:
     def test_panel_beyond_float_range(self):
         with pytest.raises(ValueError, match="beyond the float range"):
             integrate(lambda x: 1e308, 0.0, 10.0)
+
+
+class TestNearTheLargestFloat:
+    def test_midpoint_whose_sum_overflows(self):
+        # 1e308 + 1.7e308 overflows; every node stays inside the interval
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / x
+        out = integrate(f, 1e308, 1.7e308)
+        assert all(1e308 <= x <= 1.7e308 for x in calls)
+        assert abs(out.value - math.log(1.7)) <= out.abs_error_estimate
+
+    def test_half_width_whose_difference_overflows(self):
+        out = integrate(lambda x: 1e-300, -1e308, 1e308)
+        assert out.value == pytest.approx(2e8, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

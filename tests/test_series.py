@@ -180,6 +180,13 @@ class TestSelfSimilarSum:
         with pytest.raises(InsufficientConvergentsError):
             self_similar_sum(PowerSeries((2.0,)), 1.0, 1e-10)
 
+    def test_value_beyond_the_float_range_names_it(self):
+        # the fifth convergent at x = 1e200 overflows, and so does its gap to the fourth
+        series = PowerSeries((1.7976931348623157e+308, 1e+308, 1.7976931348623157e+308,
+                              -1.0000000000000002, -3.0))
+        with pytest.raises(ValueError, match="^value beyond the float range: "):
+            self_similar_sum(series, 1e+200)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             self_similar_sum(PowerSeries((1.0, 1.0)), 2.0, 0.0)
