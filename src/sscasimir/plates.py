@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -249,7 +250,9 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
     Converges to the inflation closed form as N grows; for contraction the
     partial sums diverge (each increment x^3 times the last) and the finite
     value is returned as-is, which is exactly the sequence handed to the
-    regularizer.
+    regularizer.  Inflation gaps grow, so the sum stops at its first -0.0
+    term, after which every term is -0.0; contraction sums every term, since
+    its first terms can be the zeros.
     """
     if config.truncation is None:
         raise ValueError("truncated_stack_energy needs a finite plate count")
@@ -257,7 +260,8 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
         raise ValueError("truncation of the combined two-sided stack is not defined")
     a, x, n = config.base_spacing, config.ratio, config.truncation
     if config.direction is StackDirection.INFLATION:
-        terms = (_pair_energy(_power(x, k) * a * (x - 1.0)) for k in range(1, n))
+        terms = itertools.takewhile(
+            bool, (_pair_energy(_power(x, k) * a * (x - 1.0)) for k in range(1, n)))
     else:
         terms = (_contraction_pair_energy(a, x, k) for k in range(1, n))
     # every term is <= 0, so a sum that underflows to zero is the limit -0.0

@@ -20,7 +20,8 @@ from sscasimir.plates import (
     stack_energy,
     truncated_stack_energy,
 )
-from sscasimir.plates import _scaled
+from sscasimir import plates
+from sscasimir.plates import _pair_energy, _power, _scaled
 from sscasimir.series import regularized_geometric_sum
 
 PI_SQ = math.pi ** 2
@@ -589,3 +590,48 @@ class TestFloatRange:
                 assert contraction_stack_energy(a, x).value == contraction
                 bridge = pair_interaction_energy((x - 1.0) * a).value
                 assert combined_stack_energy(a, x).value == contraction + expected + bridge
+
+
+def full_inflation_sum(a, x, n_plates):
+    """Oracle: math.fsum over all n - 1 inflation pair energies, no early stop."""
+    terms = [_pair_energy(_power(x, k) * a * (x - 1.0)) for k in range(1, n_plates)]
+    return math.fsum(terms) or -0.0
+
+
+class TestInflationEarlyStop:
+    """A truncated inflation sum stops at its first -0.0 term."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mantissa=st.floats(1.0, 10.0, exclude_max=True), exponent=st.integers(-120, 307),
+           x=st.floats(1.0 + 1e-3, 101.0), n_plates=st.integers(2, 500))
+    @example(mantissa=1.0, exponent=0, x=4.0, n_plates=400)         # subnormal tail, then zeros
+    @example(mantissa=3.73, exponent=0, x=3.73, n_plates=380)
+    @example(mantissa=1.0, exponent=200, x=2.0, n_plates=3)         # every term is -0.0
+    @example(mantissa=1.0, exponent=-110, x=2.0, n_plates=5)        # first energy beyond the range
+    def test_same_value_and_error_as_the_full_sum(self, mantissa, exponent, x, n_plates):
+        a = mantissa * 10.0 ** exponent
+        config = StackConfig(a, x, StackDirection.INFLATION, truncation=n_plates)
+        try:
+            expected = full_inflation_sum(a, x, n_plates)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                truncated_stack_energy(config)
+            assert str(raised.value) == str(error)
+        else:
+            assert truncated_stack_energy(config).value.hex() == expected.hex()
+
+    def test_scaled_calls_stop_at_the_first_zero(self, monkeypatch):
+        # the energies of k = 169..177 are subnormal and those from k = 178 on
+        # are -0.0: without the early stop all 231 terms from k = 169 reach
+        # _scaled
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _scaled(*args)
+
+        monkeypatch.setattr(plates, "_scaled", counted)
+        config = StackConfig(1.0, 4.0, StackDirection.INFLATION, truncation=400)
+        value = truncated_stack_energy(config).value
+        assert value == pytest.approx(truncated_closed_form(1.0, 4.0, 400), rel=1e-12)
+        assert 0 < len(calls) <= 12

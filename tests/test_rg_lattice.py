@@ -18,6 +18,7 @@ from sscasimir.gaussian import (
     parseval_residuals,
     rg_rescale,
 )
+from sscasimir.gaussian import _half_spectrum
 
 
 class TestRgRescale:
@@ -260,3 +261,28 @@ class TestParseval:
             LatticeField(np.array([1.0, math.nan]), spacing=1.0)
         with pytest.raises(ValueError):
             LatticeField(np.array([1.0, 2.0]), spacing=0.0)
+
+
+LATTICE_SHAPES = st.one_of(st.tuples(st.integers(2, 300)),
+                           st.tuples(st.integers(2, 40), st.integers(2, 40)))
+
+
+class TestHalfSpectrum:
+    """The packed half spectrum against numpy's full complex transform."""
+
+    @given(shape=LATTICE_SHAPES, seed=st.integers(0, 10 ** 6),
+           spacing=st.floats(0.1, 3.0))
+    @settings(max_examples=150, deadline=None)
+    @example(shape=(2, 2), seed=0, spacing=1.0)
+    @example(shape=(3, 2), seed=0, spacing=0.1)     # an odd last row, a Nyquist column
+    @example(shape=(40, 39), seed=1, spacing=3.0)
+    @example(shape=(2,), seed=2, spacing=1.0)
+    def test_matches_fftn_on_the_kept_half(self, shape, seed, spacing):
+        phi = np.random.default_rng(seed).standard_normal(shape)
+        expected = np.fft.fftn(phi)[..., : shape[-1] // 2 + 1]
+        got = _half_spectrum(phi)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        phi2, grad2 = parseval_residuals(LatticeField(phi, spacing=spacing))
+        assert phi2 <= 1e-13
+        assert grad2 <= 1e-13
