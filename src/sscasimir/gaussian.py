@@ -297,7 +297,15 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     _check_positive_on(params.coefficients, lo, hi)
     try:
         coeffs, pref, scale = form()
-        raw = integrate(_integrand(coeffs, shell.dim), lo * scale, hi * scale, rel_tol=1e-10)
+        a, c = lo * scale, hi * scale
+        # starting panels [a, 2a], [2a, 4a], ..., [2^k a, c]: no panel spans a
+        # ratio above 2, so a near-critical feature at the lower edge is seen;
+        # a shell with b <= 2 keeps its one panel
+        points, x = [], 2.0 * a
+        while 0.0 < x < c:
+            points.append(x)
+            x *= 2.0
+        raw = integrate(_integrand(coeffs, shell.dim), a, c, rel_tol=1e-10, breakpoints=points)
         value, err = pref * raw.value, abs(pref) * raw.abs_error_estimate
     except ArithmeticError:
         value = err = math.inf

@@ -8,11 +8,16 @@ reference) carries the |K15 - G7| gap (floored at 50 eps of the panel's
 absolute integral so reported bands never undercut plain rounding), and the
 worst panel, taken from a max-heap by error as in QUADPACK's QAG (Piessens
 et al., 1983), is bisected until the summed estimate meets the relative
-tolerance.  Both totals are exact running sums, kept as a few floats whose
-exact sum they are and read with the correctly rounded math.fsum, so a step
-costs O(log P) in the panel count P and the value is the correctly rounded
-sum of the panels, independent of the split history.  A sample that is not
-finite raises ValueError naming its node as soon as its panel is done.
+tolerance.  Starting breakpoints split [lo, hi] into panels before the first
+bisection, as the points of QUADPACK's QAGP.  The totals are the correctly
+rounded math.fsum of the panels on the heap, so the value does not depend on
+the split history; a step takes those exact sums only where a filtered stop
+test (Shewchuk, 1997) cannot show in floats, from plain running sums and
+their rounding bound, that the run goes on.  So a step costs O(log P) in
+the panel count P, and the exact path is taken about once per run.  Each
+panel skips its absolute-sum pass where no sample is negative.  A sample
+that is not finite raises ValueError naming its node as soon as its panel
+is done.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, Sequence
 
 __all__ = ["QuadratureResult", "QuadratureConvergenceError", "integrate"]
 
@@ -65,9 +70,10 @@ _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8 = _WK
 _, _G2, _, _G4, _, _G6, _, _G8 = _WG
 # the error floor: 50 eps of the panel's absolute integral
 _FLOOR = 50.0 * _EPS
-# a running total's floats are shortened past this length, which is above
-# the at most ~40 that _shortened returns, so every shortening frees room
-_TERMS = 64
+# the filtered stop test's margin, and the least subnormal float, which
+# covers the absolute rounding of an error bound n eps mass that underflows
+_MARGIN = 1.0 + 8.0 * _EPS
+_SUBNORMAL = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,8 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     centre node last, and each sum is rounded left to right from 0.0 in that
     order on every panel.  The Gauss sum skips the zero-weight pairs, which
     for finite samples changes at most the sign of a zero it holds, and that
-    sign is lost in |K15 - G7|.
+    sign is lost in |K15 - G7|.  Where no sample is negative (or nan), the
+    absolute sum is the Kronrod sum, so it is not formed.
     """
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     if mid - mid or half - half:    # nan: the sum or the difference overflowed
@@ -145,15 +152,22 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     kronrod = (0.0 + _K1 * (a1 + b1) + _K2 * s2 + _K3 * (a3 + b3) + _K4 * s4
                + _K5 * (a5 + b5) + _K6 * s6 + _K7 * (a7 + b7) + _K8 * fc)
     gauss = 0.0 + _G2 * s2 + _G4 * s4 + _G6 * s6 + _G8 * fc
-    resabs = (0.0 + _K1 * (abs(a1) + abs(b1)) + _K2 * (abs(a2) + abs(b2))
-              + _K3 * (abs(a3) + abs(b3)) + _K4 * (abs(a4) + abs(b4))
-              + _K5 * (abs(a5) + abs(b5)) + _K6 * (abs(a6) + abs(b6))
-              + _K7 * (abs(a7) + abs(b7)) + _K8 * abs(fc)) * half
     value = kronrod * half
+    if (a1 >= 0.0 and b1 >= 0.0 and a2 >= 0.0 and b2 >= 0.0 and a3 >= 0.0 and b3 >= 0.0
+            and a4 >= 0.0 and b4 >= 0.0 and a5 >= 0.0 and b5 >= 0.0 and a6 >= 0.0
+            and b6 >= 0.0 and a7 >= 0.0 and b7 >= 0.0 and fc >= 0.0):
+        # no sample is negative or nan: the absolute sum is the Kronrod sum
+        # term by term, and a -0.0 term is lost in a sum started at 0.0
+        resabs = value
+    else:
+        resabs = (0.0 + _K1 * (abs(a1) + abs(b1)) + _K2 * (abs(a2) + abs(b2))
+                  + _K3 * (abs(a3) + abs(b3)) + _K4 * (abs(a4) + abs(b4))
+                  + _K5 * (abs(a5) + abs(b5)) + _K6 * (abs(a6) + abs(b6))
+                  + _K7 * (abs(a7) + abs(b7)) + _K8 * abs(fc)) * half
     err = abs(kronrod - gauss) * half
     if err < _FLOOR * resabs:
         err = _FLOOR * resabs
-    if not (math.isfinite(value) and math.isfinite(err)):
+    if value - value or err - err:      # nan: one of them is not finite
         # the skipped Gauss terms are nan where a pair sum is not finite
         gauss += 0.0 * (a1 + b1) + 0.0 * (a3 + b3) + 0.0 * (a5 + b5) + 0.0 * (a7 + b7)
         _raise_non_finite((a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, fc),
@@ -173,18 +187,9 @@ def _raise_non_finite(samples: tuple[float, ...], lo: float, hi: float, mid: flo
                      f"value {value!r}, error estimate {err!r}")
 
 
-def _shortened(terms: list[float]) -> list[float]:
-    """A few floats whose exact sum is that of terms.
-
-    math.fsum rounds an exact sum correctly, so each pass takes the rounded
-    remainder; the remainders shrink by 2^-53 or more, and the loop ends
-    when one is exactly zero (at most about 40 passes).
-    """
-    parts, negated = [], []
-    while remainder := math.fsum(terms + negated):
-        parts.append(remainder)
-        negated.append(-remainder)
-    return parts
+def _totals(heap: list) -> tuple[float, float]:
+    """The correctly rounded sums of the panel values and errors on the heap."""
+    return math.fsum([entry[4] for entry in heap]), math.fsum([-entry[0] for entry in heap])
 
 
 def integrate(
@@ -193,14 +198,37 @@ def integrate(
     hi: float,
     rel_tol: float = 1e-10,
     max_evals: int = 10 ** 6,
+    breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over [lo, hi] to the requested relative tolerance.
 
-    The worst panel is taken from a max-heap by error estimate (lowest panel
-    index among equal errors) and both totals are kept as exact running sums,
-    so a run costs O(P log P) in its panel count P.  The returned value is the
-    correctly rounded sum of the panel values, so it does not depend on the
-    order in which panels happened to be refined.
+    The run starts from one panel per gap between lo, the breakpoints (which
+    must increase strictly inside (lo, hi)) and hi, indexed 0..P-1 from left
+    to right, as the points of QUADPACK's QAGP; these panels are evaluated
+    whatever the budget.  Then the worst panel is taken from a max-heap by
+    error estimate (lowest panel index among equal errors) and bisected.
+    The totals a run stops on, returns and raises are the math.fsum of the
+    values and of the errors of the panels on the heap: correctly rounded, so
+    they do not depend on the order in which panels happened to be refined.
+
+    The stop test total_err <= rel_tol |total| is filtered (Shewchuk, 1997).
+    Plain running sums v and e of the values and errors added and removed,
+    their absolute masses mv and me and their number n of terms bound the
+    distance to the exact sums V and E of the panels: by the error bound of
+    recursive summation in any order (Higham, Accuracy and Stability,
+    sect. 4.2; a sum that underflows is exact), |v - V| <= dv = n eps mv + s
+    and |e - E| <= de = n eps me + s.  Computed, dv and de keep a factor of
+    about 2 to spare while n u << 1 (u = eps / 2), and s, the least
+    subnormal float, covers the absolute rounding of a product that
+    underflows.  A step that finds e - de > (1 + 8 eps) rel_tol (|v| + dv)
+    in floats (nan and inf fail the comparison) skips the exact sums:
+    rounding is monotone, so
+        fsum(errors) >= fl(e - de) > fl(rel_tol fl(|v| + dv))
+                     >= fl(rel_tol |fsum(values)|) >= 0,
+    and the exact test would not stop either; the factor 1 + 8 eps is a
+    margin beyond what this needs.  Any other step takes the exact sums and,
+    if it goes on, restarts v, e and their masses from them as one term
+    each, so the next steps filter again.
 
     Raises QuadratureConvergenceError (carrying the best estimate) if the
     evaluation budget runs out first, and ValueError naming the node as soon
@@ -213,35 +241,50 @@ def integrate(
         raise ValueError("integration interval must have positive width")
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
+    edges = (lo, *breakpoints, hi)
+    if not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError("breakpoints must increase strictly inside (lo, hi)")
 
-    value, err = _panel(f, lo, hi)
     # heap entries (-error, panel index, lo, hi, value): the index is unique,
     # so entries never compare past it
-    heap = [(-err, 0, lo, hi, value)]
-    # floats whose exact sums are the totals over the current panels
-    values, errors = [value], [err]
-    evaluations = 15
+    heap = []
+    v_run = v_mass = e_run = 0.0
+    for index, (a, b) in enumerate(zip(edges, edges[1:])):
+        value, err = _panel(f, a, b)
+        heap.append((-err, index, a, b, value))
+        v_run += value
+        v_mass += abs(value)
+        e_run += err
+    heapq.heapify(heap)
+    e_mass, n = e_run, len(heap)
+    evaluations = 15 * n
+    margin = _MARGIN * rel_tol
 
     while True:
-        total = math.fsum(values)
-        total_err = math.fsum(errors)
-        if total_err <= rel_tol * abs(total) or total_err == 0.0:
-            return QuadratureResult(total, total_err, evaluations)
+        dv, de = n * _EPS * v_mass + _SUBNORMAL, n * _EPS * e_mass + _SUBNORMAL
+        if not e_run - de > margin * (abs(v_run) + dv):
+            total, total_err = _totals(heap)
+            if total_err <= rel_tol * abs(total) or total_err == 0.0:
+                return QuadratureResult(total, total_err, evaluations)
+            v_run, v_mass, e_run, e_mass, n = total, abs(total), total_err, total_err, 1
         if evaluations + 30 > max_evals:
-            raise QuadratureConvergenceError(total, total_err, evaluations)
-        neg_err, worst, plo, phi, old = heapq.heappop(heap)
+            raise QuadratureConvergenceError(*_totals(heap), evaluations)
+        entry = heapq.heappop(heap)
+        neg_err, worst, plo, phi, old = entry
         mid = 0.5 * (plo + phi)
         if mid - mid:   # nan: the sum overflowed
             mid = _centre(plo, phi)[0]
         if mid <= plo or mid >= phi:
             # interval at floating resolution; cannot refine further
-            raise QuadratureConvergenceError(total, total_err, evaluations)
+            heap.append(entry)
+            raise QuadratureConvergenceError(*_totals(heap), evaluations)
         lv, le = _panel(f, plo, mid)
         rv, re = _panel(f, mid, phi)
-        values += (-old, lv, rv)
-        errors += (neg_err, le, re)
-        if len(values) > _TERMS:
-            values, errors = _shortened(values), _shortened(errors)
+        v_run += (lv + rv) - old
+        v_mass += abs(lv) + abs(rv) + abs(old)
+        e_run += (le + re) + neg_err
+        e_mass += (le + re) - neg_err
+        n += 3
         # the left half keeps the index of the panel it replaces; the heap
         # then holds the P old panels, so the right half gets index P
         heapq.heappush(heap, (-le, worst, plo, mid, lv))

@@ -1,5 +1,5 @@
 import math
-from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,11 +112,11 @@ def _oracle_panel(f, lo, hi):
     return value, err
 
 
-def _oracle_integrate(f, lo, hi, rel_tol=1e-10, max_evals=10 ** 6):
+def _oracle_integrate(f, lo, hi, rel_tol=1e-10, max_evals=10 ** 6, breakpoints=()):
     """(outcome, number of steps whose worst panel was tied with another)."""
-    value, err = _oracle_panel(f, lo, hi)
-    panels = [(lo, hi, value, err)]
-    evaluations = 15
+    edges = [lo, *breakpoints, hi]
+    panels = [(a, b, *_oracle_panel(f, a, b)) for a, b in zip(edges, edges[1:])]
+    evaluations = 15 * len(panels)
     ties = 0
     while True:
         total = math.fsum(p[2] for p in sorted(panels))
@@ -216,6 +216,100 @@ class TestRefinementOrder:
         _assert_same_as_oracle(_peak(p, 10.0 ** log_w), 0.0, 1.0, rel_tol=10.0 ** log_tol)
 
 
+class TestStartingPanels:
+    @pytest.mark.parametrize("f, lo, hi, breakpoints, max_evals", [
+        (_peak(0.3, 1e-3), 0.0, 1.0, [0.25, 0.5, 0.75], 10 ** 6),
+        (lambda x: 1.0 / x, 1e-3, 1.0, [2e-3 * 2.0 ** k for k in range(9)], 10 ** 6),
+        (lambda x: math.sin(20.0 * x) / (1.0 + x * x), -1.0, 1.0, [-0.5, 0.0, 0.5], 1005),
+        # equal errors in mirrored starting panels: the lower index goes first
+        (lambda x: math.copysign(math.sqrt(abs(x)), x), -1.0, 1.0, [-0.5, 0.0, 0.5], 255),
+        # a budget below the starting panels' 60 evaluations
+        (_peak(0.3, 1e-3), 0.0, 1.0, [0.25, 0.5, 0.75], 45),
+    ])
+    def test_same_as_the_oracle(self, f, lo, hi, breakpoints, max_evals):
+        _assert_same_as_oracle(f, lo, hi, breakpoints=breakpoints, max_evals=max_evals)
+
+    def test_one_panel_per_gap(self):
+        out = integrate(lambda x: x * x, 0.0, 1.0, breakpoints=(0.125, 0.5))
+        assert out.evaluations == 45
+        assert out.value == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("breakpoints", [
+        (0.0,), (1.0,), (1.5,), (-0.5,), (0.5, 0.5), (0.6, 0.4), (math.nan,), (math.inf,),
+    ])
+    def test_breakpoints_must_increase_inside_the_interval(self, breakpoints):
+        with pytest.raises(ValueError, match="breakpoints must increase strictly inside"):
+            integrate(lambda x: x, 0.0, 1.0, breakpoints=breakpoints)
+
+
+# integrands of TestFilteredStopTest: peaked, with an integrable end
+# singularity, mixed-sign, and one whose total nearly cancels
+_FILTERED = [
+    (_peak(0.3, 1e-3), 0.0, 1.0),
+    (lambda x: 1.0 / math.sqrt(x), 1e-12, 1.0),
+    (lambda x: math.sin(1.0 / x), 0.05, 1.0),
+    (lambda x: math.sin(20.0 * x), -1.0, 1.0 + 2.0 ** -20),
+]
+
+
+def _after(f, lo, hi, splits):
+    """The oracle's outcome after the given number of bisections."""
+    return _oracle_integrate(f, lo, hi, rel_tol=1e-300, max_evals=15 + 30 * splits)[0]
+
+
+class TestFilteredStopTest:
+    """The stop test skips its exact sums only where floats prove the run
+    goes on; tolerances at the ratio of some step and at its float
+    neighbours put the exact test on its edge."""
+
+    @pytest.mark.parametrize("f, lo, hi", _FILTERED)
+    def test_tolerance_at_a_ratio_and_its_neighbours(self, f, lo, hi):
+        try:
+            final = integrate(f, lo, hi, max_evals=3015)
+        except QuadratureConvergenceError as exc:
+            final = exc
+        outcomes = [final] + [_after(f, lo, hi, k) for k in (0, 1, 3, 8)]
+        ratios = [out.abs_error_estimate / abs(out.value) for out in outcomes if out.value]
+        assert len(ratios) == 5
+        for r in ratios:
+            for rel_tol in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)):
+                _assert_same_as_oracle(f, lo, hi, rel_tol=rel_tol, max_evals=3015)
+
+    @pytest.mark.parametrize("f, lo, hi, rel_tol, max_evals", [
+        # subnormal panel values and errors
+        (lambda x: 1e-310 * math.sqrt(x), 0.0, 1.0, 1e-10, 10 ** 6),
+        (lambda x: 5e-324 * (1.0 + 1e3 * x * x), 0.0, 1.0, 1e-3, 10 ** 4),
+        (lambda x: 1e-300 * math.sin(1.0 / x), 0.05, 1.0, 1e-12, 3015),
+        # values and running masses near the largest float
+        (lambda x: 5e307 * math.sqrt(x), 0.0, 1.0, 1e-13, 10 ** 4),
+        (lambda x: 5e307 / (1.0 + 1e4 * (x - 0.4) ** 2), 0.0, 1.0, 1e-12, 10 ** 4),
+    ])
+    def test_panel_values_at_the_ends_of_the_float_range(self, f, lo, hi, rel_tol, max_evals):
+        _assert_same_as_oracle(f, lo, hi, rel_tol=rel_tol, max_evals=max_evals)
+
+    @pytest.mark.parametrize("f, lo, hi, rel_tol", [
+        (lambda x: math.sin(1.0 / x), 1e-6, 1.0, 1e-10),
+        (lambda x: math.sin(20.0 * x), -1.0, 1.0, 1e-15),
+        (_below_cliff, *_CLIFF_SHELL, 1e-10),
+        # error bounds n eps mass that underflow
+        (lambda x: 1e-300 * math.sin(1.0 / x), 1e-6, 1.0, 1e-10),
+        (lambda x: 1e-310 * math.sin(1.0 / x), 1e-6, 1.0, 1e-10),
+    ])
+    def test_exact_sums_on_a_long_budget_limited_run(self, monkeypatch, f, lo, hi, rel_tol):
+        # 3332 bisections; the exact path (two fsums) is taken a few times,
+        # not once per step
+        calls = []
+
+        def fsum(terms):
+            calls.append(len(terms))
+            return math.fsum(terms)
+        monkeypatch.setattr(quadrature, "math", SimpleNamespace(**{**vars(math), "fsum": fsum}))
+        with pytest.raises(QuadratureConvergenceError) as excinfo:
+            integrate(f, lo, hi, rel_tol=rel_tol, max_evals=10 ** 5)
+        assert excinfo.value.evaluations == 99975
+        assert len(calls) <= 8
+
+
 class TestNonFiniteSamples:
     @staticmethod
     def _counted(f):
@@ -295,6 +389,12 @@ def _panel_outcome(panel, samples, lo, hi):
             f"value {value!r}, error estimate {err!r}"), calls
 
 
+def _dipped(c, d, k, flip):
+    """Samples c, but the pair of node k is c + d and c - d < 0, in either order."""
+    pair = [c - d, c + d] if flip else [c + d, c - d]
+    return [c] * (2 * k) + pair + [c] * (13 - 2 * k)
+
+
 SAMPLES = st.one_of(
     # comparable magnitudes of either sign, where every rounding shows
     st.lists(st.floats(-4.0, 4.0), min_size=15, max_size=15),
@@ -302,6 +402,19 @@ SAMPLES = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]),
     ), min_size=15, max_size=15),
+    # no sample negative, where the panel skips its absolute-sum pass: signed
+    # zeros, subnormals, sums that overflow and +inf
+    st.lists(st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, -0.0])), min_size=15, max_size=15),
+    st.lists(st.one_of(
+        st.floats(allow_nan=False, min_value=0.0),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e308, math.inf]),
+    ), min_size=15, max_size=15),
+    # one negative sample, at any node, among non-negative ones
+    st.tuples(st.lists(st.floats(0.0, 4.0), min_size=15, max_size=15), st.integers(0, 14),
+              st.floats(-4.0, -5e-324)).map(lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]),
+    # K15 and G7 see only pair sums, so here the error is the floor, which
+    # the absolute sum sets
+    st.builds(_dipped, st.floats(0.5, 4.0), st.floats(4.5, 8.0), st.integers(0, 6), st.booleans()),
 )
 
 
@@ -311,6 +424,9 @@ class TestUnrolledPanel:
     @example(samples=[-0.0] * 15, lo=0.0, width=1.0)
     @example(samples=[1.0, -1.0] * 7 + [0.0], lo=-1.0, width=2.0)
     @example(samples=[-5e-324, 0.0] * 7 + [-0.0], lo=0.0, width=1.0)
+    @example(samples=[-0.0, 0.0] * 7 + [1.0], lo=0.0, width=1.0)
+    @example(samples=[1.0] * 14 + [math.inf], lo=0.0, width=1.0)
+    @example(samples=[1.0] * 14 + [math.nan], lo=0.0, width=1.0)
     # only the outermost pair sum overflows; its Gauss weight is zero
     @example(samples=[1e308, 1e308] + [1.0] * 13, lo=-1.0, width=2.0)
     def test_same_nodes_and_bits_as_the_rolled_loop(self, samples, lo, width):
@@ -318,10 +434,23 @@ class TestUnrolledPanel:
         assert _panel_outcome(quadrature._panel, samples, lo, hi) == \
             _panel_outcome(_oracle_panel, samples, lo, hi)
 
+    def test_negative_centre_under_the_error_floor(self):
+        # samples 10 and a centre of -1, with the pair of node 7 (no Gauss
+        # weight) moved so that K15 - G7 stays at rounding: the error is the
+        # floor, which the absolute sum sets above 50 eps of the value
+        s7 = 20.0 + (quadrature._WK[7] - quadrature._WG[7]) * 11.0 / quadrature._WK[6]
+        samples = [10.0] * 12 + [s7 / 2.0, s7 / 2.0, -1.0]
+        (value, err), _ = _panel_outcome(_oracle_panel, samples, 0.0, 1.0)
+        assert float.fromhex(err) > float.fromhex(value) * quadrature._FLOOR
+        assert _panel_outcome(quadrature._panel, samples, 0.0, 1.0) == \
+            _panel_outcome(_oracle_panel, samples, 0.0, 1.0)
+
     @pytest.mark.parametrize("f", [
         lambda x: -0.0,
         lambda x: x - 0.3,
         lambda x: -1.0 / (1e-4 + (x - 0.25) ** 2),
+        lambda x: 1.0 / (1e-4 + (x - 0.25) ** 2),
+        lambda x: abs(x) ** 0.5,
     ])
     def test_integrands(self, f):
         got = quadrature._panel(f, -1.0, 2.0)
@@ -343,10 +472,3 @@ class TestUnrolledPanel:
         assert str(excinfo.value) == ("panel [-1.0, 1.0] is beyond the float range: "
                                       "value inf, error estimate nan")
 
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)))
-def test_shortened_running_sum_is_exact(terms):
-    parts = quadrature._shortened(terms)
-    assert sum(map(Fraction, parts)) == sum(map(Fraction, terms))
-    assert len(parts) <= 40 and 0.0 not in parts
