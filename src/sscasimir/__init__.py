@@ -7,51 +7,17 @@ Three computational layers plus a CLI:
                 Dirichlet plate stacks,
   * gaussian -- Landau-Ginzburg shell quadrature, RG coefficient rescaling,
                 and discrete Fourier identities.
+
+The package exports each layer's __all__ (quadrature's too), exceptions
+included; the CLI, sscasimir.cli, is not imported with it.
 """
 
-from .series import (
-    ContinuedFraction,
-    PowerSeries,
-    RegularizedSum,
-    convergents,
-    project_to_circle,
-    regularized_geometric_sum,
-    self_similar_sum,
-    to_continued_fraction,
-)
-from .plates import (
-    EnergyDensity,
-    FieldKind,
-    StackConfig,
-    StackDirection,
-    combined_stack_energy,
-    contraction_stack_energy,
-    force_per_area,
-    functional_equation_residual,
-    inflation_stack_energy,
-    pair_interaction_energy,
-    stack_energy,
-    truncated_stack_energy,
-)
-from .gaussian import (
-    LatticeField,
-    LGParams,
-    QuadratureResult,
-    ShellSpec,
-    TemperatureExpansion,
-    casimir_energy_density,
-    dimensionless_energy_density,
-    fit_power_law,
-    fixed_point_field_scale,
-    kernel,
-    lg_params_at,
-    leading_scaling_prediction,
-    mode_split_log_partition,
-    parseval_residuals,
-    radial_measure,
-    rg_rescale,
-    solid_angle,
-)
-from .quadrature import QuadratureConvergenceError, integrate
+from . import gaussian, plates, quadrature, series
+from .series import *
+from .plates import *
+from .gaussian import *
+from .quadrature import *
 
+__all__ = list(dict.fromkeys(series.__all__ + plates.__all__ + gaussian.__all__
+                             + quadrature.__all__))
 __version__ = "0.1.0"

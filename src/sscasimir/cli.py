@@ -3,16 +3,19 @@
 One logical entry point (main) over the series/plates/gaussian modules.
 Each subcommand is one `Command` record in the `COMMANDS` table: its
 parameters (name, one parse-and-check function, a default or REQUIRED,
-help text), an optional cross-field check, the base and computed fields of
-its row, an optional sweep, and its header.  The argparse options, the
-config-file key check, validation, dispatch and rendering all read it;
-each command's argparse parser is built once per process, on its first use.
+help text), its header, the parameters behind the header's leading fields,
+its computed fields, an optional cross-field check and an optional sweep.
+A sweep command is its point command with a grid: the same record with
+other parameters and a sweep, so the two share one header and compute.
+The argparse options, the config-file key check, validation, dispatch and
+rendering all read it; each command's argparse parser is built once per
+process, on its first use.
 Config files mirror the flags one-to-one (JSON object keyed by flag names);
 explicit flags override file values and unknown keys are rejected.
 
 The header is the command's one row schema in JSON and CSV, plus the field
 every command shares, error: a row whose computation fails (ValueError,
-ArithmeticError, a quadrature that does not converge) keeps its base fields
+ArithmeticError, a quadrature that does not converge) keeps its input fields
 and gets the failure message as its error, so a sweep never aborts on one
 bad point, and a failed power-law fit reports its error the same way.  A
 JSON row leaves out the fields it does not have, a CSV row leaves their
@@ -207,27 +210,20 @@ class Param:
 class Command:
     """One subcommand: its parameters and how it turns them into rows.
 
-    base(p) gives the fields a row keeps even when the computation fails,
-    compute(p) the computed fields; check(p) is a cross-field check raising
-    ValueError, and sweep(p), when set, the grid the rows run over.
+    inputs names the parameters behind the header's leading fields, in
+    order: a row keeps each one that is set and not an empty list, under
+    its header name, even when the computation fails.  compute(p) gives the
+    computed fields; check(p) is a cross-field check raising ValueError,
+    and sweep(p), when set, the grid the rows run over.  A sweep command is
+    its point command with other parameters and a sweep.
     """
 
     params: tuple[Param, ...]
     header: tuple[str, ...]
-    base: Callable[[dict], dict]
+    inputs: tuple[str, ...]
     compute: Callable[[dict], dict]
     check: Callable[[dict], None] | None = None
     sweep: Callable[[dict], SweepSpec] | None = None
-
-
-def _fields(*keys, **optional):
-    """Row fields copied from the parameters; an optional field (row key =
-    parameter key) only where that parameter is set and not empty."""
-    def base(p):
-        fields = {k: p[k] for k in keys}
-        fields.update((k, p[src]) for k, src in optional.items() if p.get(src))
-        return fields
-    return base
 
 
 def _stack(p):
@@ -271,71 +267,68 @@ _GLOBALS = (
     Param("out", str, None, "output path (default: stdout)"),
     Param("format", _one_of("csv", "json"), "json", "output format (default: json)"),
 )
+_SPACING = Param("a", _positive, help="base spacing")
 _DIRECTION = Param("direction", _one_of("inflation", "contraction", "combined"))
 _GRID = (Param("steps", _two_or_more), Param("log", bool, False, "log-spaced grid"))
-_SHELL = (
-    Param("d", _dimension), Param("lambda", _positive), Param("b", _above_one),
-    Param("T", _positive), Param("t", _non_negative), Param("K", _non_negative),
-    Param("L", _non_negative, 0.0),
-    Param("higher", _float_list, [], "JSON array of q^6, q^8, ... coefficients"),
+_STACK = Command(
+    params=(_SPACING, Param("x", _above_one, help="stack ratio (> 1)"), _DIRECTION,
+            Param("truncate", _two_or_more, None, "finite plate count (>= 2)")),
+    header=("a", "x", "direction", "N", "value", "regularized"),
+    inputs=("a", "x", "direction", "truncate"), compute=_stack, check=_no_truncated_combined,
 )
-_STACK_BASE = _fields("a", "x", "direction", N="truncate")
-_SHELL_BASE = _fields("d", "lambda", "b", "T", "t", "K", "L", higher="higher")
-_STACK_HEADER = ("a", "x", "direction", "N", "value", "regularized")
-_SHELL_HEADER = ("d", "lambda", "b", "T", "t", "K", "L", "higher",
-                 "value", "abs_error_estimate", "evaluations")
+_SHELL = Command(
+    params=(Param("d", _dimension), Param("lambda", _positive), Param("b", _above_one),
+            Param("T", _positive), Param("t", _non_negative), Param("K", _non_negative),
+            Param("L", _non_negative, 0.0),
+            Param("higher", _float_list, [], "JSON array of q^6, q^8, ... coefficients")),
+    header=("d", "lambda", "b", "T", "t", "K", "L", "higher",
+            "value", "abs_error_estimate", "evaluations"),
+    inputs=("d", "lambda", "b", "T", "t", "K", "L", "higher"), compute=_shell_energy,
+)
 
 COMMANDS = {
     "plates-pair": Command(
         params=(Param("a", _positive, help="plate spacing"),
                 Param("kind", _one_of("dirichlet", "em"), "dirichlet",
                       "field kind (default: dirichlet)")),
-        header=("a", "kind", "value"), base=_fields("a", "kind"),
+        header=("a", "kind", "value"), inputs=("a", "kind"),
         compute=lambda p: {"value": plates.pair_interaction_energy(
             p["a"], plates.FieldKind(p["kind"])).value},
     ),
-    "plates-stack": Command(
-        params=(Param("a", _positive, help="base spacing"),
-                Param("x", _above_one, help="stack ratio (> 1)"), _DIRECTION,
-                Param("truncate", _two_or_more, None, "finite plate count (>= 2)")),
-        header=_STACK_HEADER, base=_STACK_BASE, compute=_stack, check=_no_truncated_combined,
-    ),
-    "plates-sweep": Command(
-        params=(Param("a", _positive, help="base spacing"), _DIRECTION,
-                Param("x-min", _number), Param("x-max", _number), *_GRID),
-        header=_STACK_HEADER, base=_STACK_BASE, compute=_stack,
+    "plates-stack": _STACK,
+    # a sweep point has no truncate, so the stack's check passes it
+    "plates-sweep": dataclasses.replace(
+        _STACK, params=(_SPACING, _DIRECTION, Param("x-min", _number), Param("x-max", _number),
+                        *_GRID),
         sweep=lambda p: SweepSpec("x", p["x-min"], p["x-max"], p["steps"], p["log"]),
     ),
     "series-resum": Command(
         params=(Param("coeffs", _coeffs, help="JSON array of coefficients, inline or a file path"),
                 Param("x", _number, help="evaluation point"),
                 Param("tol", _positive, 1e-10, "convergent agreement tolerance (default 1e-10)")),
-        header=("value", "converged", "convergents_used", "residual"), base=_fields(),
+        header=("value", "converged", "convergents_used", "residual"), inputs=(),
         compute=lambda p: dataclasses.asdict(series.self_similar_sum(
             series.PowerSeries(tuple(p["coeffs"])), p["x"], p["tol"])),
     ),
-    "gaussian-energy": Command(
-        params=_SHELL, header=_SHELL_HEADER, base=_SHELL_BASE, compute=_shell_energy,
-    ),
-    "gaussian-sweep": Command(
-        params=(Param("var", _one_of("lambda", "b", "t")), Param("min", _number),
-                Param("max", _number), *_GRID,
-                Param("fit", bool, False, "append a power-law fit record"), *_SHELL),
-        header=_SHELL_HEADER, base=_SHELL_BASE, compute=_shell_energy,
+    "gaussian-energy": _SHELL,
+    "gaussian-sweep": dataclasses.replace(
+        _SHELL, params=(Param("var", _one_of("lambda", "b", "t")), Param("min", _number),
+                        Param("max", _number), *_GRID,
+                        Param("fit", bool, False, "append a power-law fit record"), *_SHELL.params),
         sweep=lambda p: SweepSpec(p["var"], p["min"], p["max"], p["steps"], p["log"]),
     ),
     "gaussian-rg": Command(
         params=(Param("d", _dimension), Param("b", _above_one),
                 Param("B", _field_scale, "auto", "field scale, a number or 'auto' (K-fixing value)"),
                 Param("t", _non_negative), Param("K", _non_negative), Param("L", _non_negative)),
-        header=("d", "b", "B", "t", "K", "L"), base=_fields("d", "b"), compute=_rescale,
+        header=("d", "b", "B", "t", "K", "L"), inputs=("d", "b"), compute=_rescale,
     ),
     "lattice-check": Command(
         params=(Param("d", _one_of(1, 2, convert=_integer)),
                 Param("sites", _two_or_more, help="sites per axis"),
                 Param("seed", _integer, 0, "RNG seed (default 0)")),
         header=("d", "sites", "seed", "phi2_residual", "grad2_residual"),
-        base=_fields("d", "sites", "seed"), compute=_lattice,
+        inputs=("d", "sites", "seed"), compute=_lattice,
     ),
 }
 
@@ -435,7 +428,8 @@ def execute(config: RunConfig) -> ResultSet:
         points = [{**p, spec.variable: v} for v in spec.grid()]
     records = []
     for point in points:
-        record = command.base(point)
+        record = {key: point[name] for key, name in zip(command.header, command.inputs)
+                  if point.get(name, []) != []}
         try:
             record.update(command.compute(point))
         except (ValueError, ArithmeticError, QuadratureConvergenceError) as exc:

@@ -178,33 +178,41 @@ def lg_params_at(expansion: TemperatureExpansion, T: float) -> LGParams:
 
 
 def kernel(params: LGParams, q: float) -> float:
-    """Quadratic mode weight t + K q^2 + L q^4 + sum higher_j q^(6+2j)."""
-    q2 = q * q
-    acc = params.t + q2 * (params.K + q2 * params.L)
+    """Quadratic mode weight t + K q^2 + L q^4 + sum higher_j q^(6+2j).
+
+    As t + u (K + u L), u = q^2, then each higher term left to right; a zero
+    coefficient adds no term, so an overflowing power gives inf, not nan.
+    """
+    u = q * q
+    t, K, L = params.t, params.K, params.L
+    acc = t + u * (K + u * L) if L else t + u * K if K else t
     if params.higher:
-        qp = q2 * q2 * q2
+        qp = u * u * u
         for h in params.higher:
-            acc += h * qp
-            qp *= q2
+            if h:
+                acc += h * qp
+            qp *= u
     return acc
 
 
 def _integrand(coeffs: Sequence[float], d: int):
     """The shell integrand q -> q^(d-1) / g(q^2) of g = sum coeffs[m] u^m.
 
-    coeffs holds at least three coefficients; g is evaluated in kernel's
-    order, t + u (K + u L) and then each higher term left to right, so the
-    samples are kernel's bits.  None or two higher terms are unrolled and
-    the rest run a loop; padding to one degree would turn an overflowing u^3
-    or u^4 into nan (0 * inf).
+    coeffs holds at least three coefficients; g is evaluated as kernel
+    evaluates it, zero terms left out, so the samples are kernel's bits.
+    The common forms, t + u (K + u L) with none or two higher terms and
+    t + u K, are unrolled; the rest run kernel's loop.
     """
     t, K, L, *higher = coeffs
     p = d - 1
-    if not higher:
+    if L and not any(higher):
         def f(q):
             u = q * q
             return q ** p / (t + u * (K + u * L))
-    elif len(higher) == 2:
+    elif K and not (L or any(higher)):
+        def f(q):
+            return q ** p / (t + q * q * K)
+    elif L and len(higher) == 2 and all(higher):
         h0, h1 = higher
 
         def f(q):
@@ -214,10 +222,11 @@ def _integrand(coeffs: Sequence[float], d: int):
     else:
         def f(q):
             u = q * q
-            acc = t + u * (K + u * L)
+            acc = t + u * (K + u * L) if L else t + u * K if K else t
             qp = u * u * u
             for h in higher:
-                acc += h * qp
+                if h:
+                    acc += h * qp
                 qp *= u
             return q ** p / acc
     return f
@@ -289,6 +298,9 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     """pref * the integral of _integrand(coeffs) over the shell times scale,
     for (coeffs, pref, scale) = form(), once the kernel is positive on it.
 
+    Where g overflows at a top edge above 1 (its sample there is 0 or nan),
+    the integral is taken in x = q / 2^e by _top_scaled, so its samples stay
+    in the float range; elsewhere the samples are those of the given shell.
     The one float-range rule of the shell energies: a step that overflows or
     divides by an underflowed kernel (ArithmeticError), or a value or error
     estimate beyond the float range, raises ValueError naming that range.
@@ -298,6 +310,10 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     try:
         coeffs, pref, scale = form()
         a, c = lo * scale, hi * scale
+        f, k = _integrand(coeffs, shell.dim), 0
+        if c > 1.0 and not 0.0 < f(c):
+            coeffs, e, k = _top_scaled(coeffs, shell.dim, c)
+            f, a, c = _integrand(coeffs, shell.dim), math.ldexp(a, -e), math.ldexp(c, -e)
         # starting panels [a, 2a], [2a, 4a], ..., [2^k a, c]: no panel spans a
         # ratio above 2, so a near-critical feature at the lower edge is seen;
         # a shell with b <= 2 keeps its one panel
@@ -305,14 +321,35 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
         while 0.0 < x < c:
             points.append(x)
             x *= 2.0
-        raw = integrate(_integrand(coeffs, shell.dim), a, c, rel_tol=1e-10, breakpoints=points)
-        value, err = pref * raw.value, abs(pref) * raw.abs_error_estimate
+        raw = integrate(f, a, c, rel_tol=1e-10, breakpoints=points)
+        value = _product(pref, raw.value, k)
+        err = _product(abs(pref), raw.abs_error_estimate, k)
     except ArithmeticError:
         value = err = math.inf
     if max(abs(value), err) < math.inf:
         return QuadratureResult(value, err, raw.evaluations)
     raise ValueError(f"value beyond the float range: shell energy in d = {shell.dim} "
                      f"over [{lo!r}, {hi!r}] at T = {shell.temperature!r}")
+
+
+def _top_scaled(coeffs: Sequence[float], d: int, c: float) -> tuple[list[float], int, int]:
+    """(coeffs', e, k) of the substitution q = 2^e x, c = m 2^e, 1/2 <= m < 1.
+
+    The integral of q^(d-1) / g(q^2) over [a, c] is 2^k, k = e (d - 2j),
+    times that of x^(d-1) / g'(x^2) over [a / 2^e, c / 2^e], where g' has
+    the coefficients c_m 2^(2e(m - j)) and j is the term of g largest at c:
+    none is beyond twice c_j and x < 1, so g' does not overflow.
+    """
+    e = math.frexp(c)[1]
+    j = max((m for m, cm in enumerate(coeffs) if cm),
+            key=lambda m: math.frexp(coeffs[m])[1] + 2 * e * m)
+    return [math.ldexp(cm, 2 * e * (m - j)) for m, cm in enumerate(coeffs)], e, e * (d - 2 * j)
+
+
+def _product(x: float, y: float, k: int) -> float:
+    """x y 2^k, rounded once wherever it is a normal float (OverflowError beyond)."""
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    return math.ldexp(mx * my, ex + ey + k)
 
 
 def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:

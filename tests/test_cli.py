@@ -241,6 +241,27 @@ class TestExecute:
         assert fit["exponent"] == pytest.approx(-4.0, rel=0.02)
         assert all("value" in r for r in results.records[:-1])
 
+    def test_plates_sweep_rows_are_plates_stack_rows(self):
+        sweep = execute(parse_config(["plates-sweep", "--a", "1", "--direction", "contraction",
+                                      "--x-min", "1.5", "--x-max", "3", "--steps", "5", "--log"]))
+        assert len(sweep.records) == 5
+        for row in sweep.records:
+            (point,) = execute(parse_config(["plates-stack", "--a", "1", "--x", repr(row["x"]),
+                                             "--direction", "contraction"])).records
+            assert json.dumps(row) == json.dumps(point)
+
+    def test_gaussian_sweep_rows_are_gaussian_energy_rows(self):
+        # g = 1 + u - 0.3 u^3 turns negative near q = 1.48: the upper shells
+        # are unstable-kernel error rows
+        shell = ["--d", "3", "--b", "2", "--T", "1", "--t", "1", "--K", "1", "--higher", "[-0.3]"]
+        sweep = execute(parse_config(["gaussian-sweep", "--var", "lambda", "--min", "0.5",
+                                      "--max", "4", "--steps", "6", "--log"] + shell))
+        assert [("error" in row) for row in sweep.records] == [False] * 3 + [True] * 3
+        for row in sweep.records:
+            (point,) = execute(parse_config(["gaussian-energy", "--lambda", repr(row["lambda"])]
+                                            + shell)).records
+            assert json.dumps(row) == json.dumps(point)
+
     def test_partial_failure_keeps_rows_in_order(self):
         config = parse_config(["plates-sweep", "--a", "1", "--direction", "inflation",
                                "--x-min", "0.5", "--x-max", "2.0", "--steps", "4"])
@@ -560,6 +581,17 @@ class TestMain:
         (record,) = json.loads(capsys.readouterr().out)
         assert record["error"] == "integrand is not finite at x = 0.9978638427802032: f(x) = inf"
 
+    def test_energy_where_u_overflows(self, capsys):
+        # u = q^2 overflows on the whole shell; the energy
+        # -(1/2pi) (atan(1e300) - atan(5e299)), = -(1/2pi) (atan(1/5e299) -
+        # atan(1/1e300)), is a float
+        argv = ["gaussian-energy", "--d", "1", "--lambda", "1e300", "--b", "2", "--T", "1",
+                "--t", "1", "--K", "1"]
+        assert main(argv) == 0
+        (record,) = strict_json(capsys.readouterr().out)
+        closed = -(math.atan(1 / 5e299) - math.atan(1 / 1e300)) / (2 * math.pi)
+        assert math.isclose(record["value"], closed, rel_tol=1e-12)
+
     def test_negative_value_in_exponent_form(self, capsys):
         assert main(["series-resum", "--coeffs", "[1,1,1]", "--x", "-9.9e-05"]) == 0
         (record,) = json.loads(capsys.readouterr().out)
@@ -577,6 +609,9 @@ _NO_ARRAYS = [
 
 _IMPORT_CHECK = """
 import contextlib, io, json, sys
+import sscasimir
+for module in ("numpy", "decimal", "argparse", "sscasimir.cli"):
+    assert module not in sys.modules, module
 from sscasimir.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -594,7 +629,8 @@ assert "numpy" in sys.modules
 
 def test_commands_without_arrays_do_not_import_numpy():
     # a fresh interpreter: this test process has imported numpy already.
-    # decimal, too, loads only once a value leaves the float range
+    # decimal, too, loads only once a value leaves the float range; the bare
+    # package loads neither, nor argparse or the CLI
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, json.dumps(_NO_ARRAYS)],

@@ -81,6 +81,16 @@ class TestKernel:
         expected = 1.0 + 4.0 + 16.0 + 64.0 + 0.5 * 256.0
         assert kernel(params, q) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("params, g", [
+        (LGParams(t=1.0, K=1.0), math.inf),
+        (LGParams(t=2.0, K=0.0), 2.0),
+        (LGParams(t=1.0, K=1.0, higher=(0.0, 1.0)), math.inf),
+    ])
+    def test_zero_terms_where_u_overflows(self, params, g):
+        # q^2 overflows; a zero coefficient times it was nan
+        assert kernel(params, 1e300) == g
+        assert _integrand(params.coefficients, 1)(1e300) == 1.0 / g
+
     def test_validation(self):
         with pytest.raises(BelowCriticalityError):
             LGParams(t=-1.0, K=1.0)
@@ -357,6 +367,27 @@ class TestShellEnergyFloatRange:
         shell = ShellSpec(dim=343, cutoff=1.0, shell_factor=2.0, temperature=1.0)
         out = casimir_energy_density(LGParams(t=1.0, K=1.0), shell)
         assert out.value == 0.0 and math.copysign(1.0, out.value) == -1.0
+
+
+class TestShellEnergyWhereGOverflows:
+    """Where g overflows at the shell's top edge, the samples of the plain
+    integrand are 0 or nan; the integral is taken in x = q / 2^e instead."""
+
+    @pytest.mark.parametrize("d, lam, L, closed", [
+        # -(1/2pi) (atan(hi) - atan(lo)) = -(1/2pi) (atan(1/lo) - atan(1/hi))
+        (1, 1e300, 0.0, -(math.atan(1 / 5e299) - math.atan(1 / 1e300)) / (2 * math.pi)),
+        # -(1/8pi) ln((1 + hi^2) / (1 + lo^2))
+        (2, 1e300, 0.0, -math.log(4.0) / (8 * math.pi)),
+        # u^2 overflows: -(1/2pi) (lo^-3 - hi^-3) / 3, to 1e-200
+        (1, 1e100, 1.0, -(5e99 ** -3 - 1e100 ** -3) / (6 * math.pi)),
+    ])
+    def test_against_closed_forms(self, d, lam, L, closed):
+        params = LGParams(t=1.0, K=1.0, L=L)
+        shell = ShellSpec(dim=d, cutoff=lam, shell_factor=2.0, temperature=1.0)
+        for energy in (casimir_energy_density, dimensionless_energy_density):
+            out = energy(params, shell)
+            assert math.isclose(out.value, closed, rel_tol=1e-12)
+            assert out.abs_error_estimate <= 1e-10 * abs(out.value)
 
 
 @pytest.mark.parametrize("make, message", [
