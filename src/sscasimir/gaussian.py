@@ -17,6 +17,7 @@ periodic lattices verify the underlying Fourier identities exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -298,9 +299,8 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     """pref * the integral of _integrand(coeffs) over the shell times scale,
     for (coeffs, pref, scale) = form(), once the kernel is positive on it.
 
-    Where g overflows at a top edge above 1 (its sample there is 0 or nan),
-    the integral is taken in x = q / 2^e by _top_scaled, so its samples stay
-    in the float range; elsewhere the samples are those of the given shell.
+    Where g overflows at a top edge above 1, the samples are _wide's, |pref|
+    times 2^-k, and the value and error estimate are multiplied by 2^k.
     The one float-range rule of the shell energies: a step that overflows or
     divides by an underflowed kernel (ArithmeticError), or a value or error
     estimate beyond the float range, raises ValueError naming that range.
@@ -310,20 +310,23 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     try:
         coeffs, pref, scale = form()
         a, c = lo * scale, hi * scale
-        f, k = _integrand(coeffs, shell.dim), 0
-        if c > 1.0 and not 0.0 < f(c):
-            coeffs, e, k = _top_scaled(coeffs, shell.dim, c)
-            f, a, c = _integrand(coeffs, shell.dim), math.ldexp(a, -e), math.ldexp(c, -e)
-        # starting panels [a, 2a], [2a, 4a], ..., [2^k a, c]: no panel spans a
+        # starting panels [a, 2a], [2a, 4a], ..., [2^n a, c]: no panel spans a
         # ratio above 2, so a near-critical feature at the lower edge is seen;
         # a shell with b <= 2 keeps its one panel
         points, x = [], 2.0 * a
         while 0.0 < x < c:
             points.append(x)
             x *= 2.0
+        f, k = _integrand(coeffs, shell.dim), None
+        with contextlib.suppress(ArithmeticError):  # q^(d-1) overflows at c; the nodes may not
+            if c > 1.0 and not 0.0 < f(c) < math.inf:
+                f, k = _wide(coeffs, shell.dim, abs(pref), [a, *points, c])
         raw = integrate(f, a, c, rel_tol=1e-10, breakpoints=points)
-        value = _product(pref, raw.value, k)
-        err = _product(abs(pref), raw.abs_error_estimate, k)
+        if k is None:
+            value, err = pref * raw.value, abs(pref) * raw.abs_error_estimate
+        else:
+            value = math.copysign(math.ldexp(raw.value, k), pref)
+            err = math.ldexp(raw.abs_error_estimate, k)
     except ArithmeticError:
         value = err = math.inf
     if max(abs(value), err) < math.inf:
@@ -332,24 +335,23 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
                      f"over [{lo!r}, {hi!r}] at T = {shell.temperature!r}")
 
 
-def _top_scaled(coeffs: Sequence[float], d: int, c: float) -> tuple[list[float], int, int]:
-    """(coeffs', e, k) of the substitution q = 2^e x, c = m 2^e, 1/2 <= m < 1.
+def _wide(coeffs: Sequence[float], d: int, scale: float, probes: Sequence[float]):
+    """(f, k): f(q) = 2^-k scale q^(d-1) / g(q^2), the terms of g summed as
+    floats times powers of two, so none leaves the float range; k puts the
+    largest sample at the probes near 2^-64, so the integral stays a float."""
+    terms = [(m, *math.frexp(cm)) for m, cm in enumerate(coeffs) if cm]
+    ms, es = math.frexp(scale)
 
-    The integral of q^(d-1) / g(q^2) over [a, c] is 2^k, k = e (d - 2j),
-    times that of x^(d-1) / g'(x^2) over [a / 2^e, c / 2^e], where g' has
-    the coefficients c_m 2^(2e(m - j)) and j is the term of g largest at c:
-    none is beyond twice c_j and x < 1, so g' does not overflow.
-    """
-    e = math.frexp(c)[1]
-    j = max((m for m, cm in enumerate(coeffs) if cm),
-            key=lambda m: math.frexp(coeffs[m])[1] + 2 * e * m)
-    return [math.ldexp(cm, 2 * e * (m - j)) for m, cm in enumerate(coeffs)], e, e * (d - 2 * j)
+    def split(q, k=0):
+        # 2^-k scale q^(d-1) / g(q^2) = y 2^n
+        mq, eq = math.frexp(q)
+        parts = [(mc * mq ** (2 * m), ec + 2 * m * eq) for m, mc, ec in terms]
+        top = max(n for _, n in parts)
+        y = ms * mq ** (d - 1) / sum(math.ldexp(v, n - top) for v, n in parts)
+        return y, es + (d - 1) * eq - top - k
 
-
-def _product(x: float, y: float, k: int) -> float:
-    """x y 2^k, rounded once wherever it is a normal float (OverflowError beyond)."""
-    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
-    return math.ldexp(mx * my, ex + ey + k)
+    k = max(n + math.frexp(y)[1] for y, n in map(split, probes)) + 64
+    return (lambda q: math.ldexp(*split(q, k))), k
 
 
 def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:

@@ -581,15 +581,20 @@ class TestMain:
         (record,) = json.loads(capsys.readouterr().out)
         assert record["error"] == "integrand is not finite at x = 0.9978638427802032: f(x) = inf"
 
-    def test_energy_where_u_overflows(self, capsys):
+    @pytest.mark.parametrize("args, closed", [
         # u = q^2 overflows on the whole shell; the energy
         # -(1/2pi) (atan(1e300) - atan(5e299)), = -(1/2pi) (atan(1/5e299) -
         # atan(1/1e300)), is a float
-        argv = ["gaussian-energy", "--d", "1", "--lambda", "1e300", "--b", "2", "--T", "1",
-                "--t", "1", "--K", "1"]
+        ("--d 1 --lambda 1e300 --b 2", -(math.atan(1 / 5e299) - math.atan(1 / 1e300)) / (2 * math.pi)),
+        # g overflows above q = 1.2e77 only: -(1/2pi) (1e10^-3 - 1e100^-3) / 3
+        # and -(1/4pi^2) (1e-10 - 1e-100), to 1e-20
+        ("--d 1 --lambda 1e100 --b 1e90 --L 1", -(1e10 ** -3 - 1e100 ** -3) / (6 * math.pi)),
+        ("--d 3 --lambda 1e100 --b 1e90 --L 1", -(1e-10 - 1e-100) / (4 * math.pi ** 2)),
+    ])
+    def test_energy_where_u_overflows(self, capsys, args, closed):
+        argv = ["gaussian-energy", *args.split(), "--T", "1", "--t", "1", "--K", "1"]
         assert main(argv) == 0
         (record,) = strict_json(capsys.readouterr().out)
-        closed = -(math.atan(1 / 5e299) - math.atan(1 / 1e300)) / (2 * math.pi)
         assert math.isclose(record["value"], closed, rel_tol=1e-12)
 
     def test_negative_value_in_exponent_form(self, capsys):

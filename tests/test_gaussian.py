@@ -371,19 +371,29 @@ class TestShellEnergyFloatRange:
 
 class TestShellEnergyWhereGOverflows:
     """Where g overflows at the shell's top edge, the samples of the plain
-    integrand are 0 or nan; the integral is taken in x = q / 2^e instead."""
+    integrand are 0 or nan there; the wide-range integrand takes its place."""
 
-    @pytest.mark.parametrize("d, lam, L, closed", [
+    @pytest.mark.parametrize("d, lam, b, L, closed", [
         # -(1/2pi) (atan(hi) - atan(lo)) = -(1/2pi) (atan(1/lo) - atan(1/hi))
-        (1, 1e300, 0.0, -(math.atan(1 / 5e299) - math.atan(1 / 1e300)) / (2 * math.pi)),
+        (1, 1e300, 2.0, 0.0, -(math.atan(1 / 5e299) - math.atan(1 / 1e300)) / (2 * math.pi)),
         # -(1/8pi) ln((1 + hi^2) / (1 + lo^2))
-        (2, 1e300, 0.0, -math.log(4.0) / (8 * math.pi)),
+        (2, 1e300, 2.0, 0.0, -math.log(4.0) / (8 * math.pi)),
         # u^2 overflows: -(1/2pi) (lo^-3 - hi^-3) / 3, to 1e-200
-        (1, 1e100, 1.0, -(5e99 ** -3 - 1e100 ** -3) / (6 * math.pi)),
+        (1, 1e100, 2.0, 1.0, -(5e99 ** -3 - 1e100 ** -3) / (6 * math.pi)),
+        # g overflows above q = 1.3e154 only: -(1/2pi) (atan(1e300) - atan(1))
+        (1, 1e300, 1e300, 0.0, -0.125),
+        # g overflows above q = 1.2e77 only, where the integrand is below
+        # 1e-308 and adds almost nothing: -(1/2pi) (lo^-3 - hi^-3) / 3 and
+        # -(1/4pi^2) (1/lo - 1/hi), to 1e-20
+        (1, 1e100, 1e90, 1.0, -(1e10 ** -3 - 1e100 ** -3) / (6 * math.pi)),
+        (3, 1e100, 1e90, 1.0, -(1e-10 - 1e-100) / (4 * math.pi ** 2)),
+        # q^2 overflows at the top edge but at no node: -(1/4pi^2) (hi - lo),
+        # to 1e-150
+        (3, 1.3409e154, 2.0, 0.0, -0.5 * 1.3409e154 / (4 * math.pi ** 2)),
     ])
-    def test_against_closed_forms(self, d, lam, L, closed):
+    def test_against_closed_forms(self, d, lam, b, L, closed):
         params = LGParams(t=1.0, K=1.0, L=L)
-        shell = ShellSpec(dim=d, cutoff=lam, shell_factor=2.0, temperature=1.0)
+        shell = ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=1.0)
         for energy in (casimir_energy_density, dimensionless_energy_density):
             out = energy(params, shell)
             assert math.isclose(out.value, closed, rel_tol=1e-12)
