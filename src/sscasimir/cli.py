@@ -212,8 +212,9 @@ class Command:
 
     inputs names the parameters behind the header's leading fields, in
     order: a row keeps each one that is set and not an empty list, under
-    its header name, even when the computation fails.  compute(p) gives the
-    computed fields; check(p) is a cross-field check raising ValueError,
+    its header name, even when the computation fails.  compute(p) gives a
+    mapping, a library record's fields, from which the row takes the rest
+    of the header by name; check(p) is a cross-field check raising ValueError,
     and sweep(p), when set, the grid the rows run over.  A sweep command is
     its point command with other parameters and a sweep.
     """
@@ -228,8 +229,7 @@ class Command:
 
 def _stack(p):
     direction = plates.StackDirection(p["direction"])
-    result = plates.stack_energy(plates.StackConfig(p["a"], p["x"], direction, p.get("truncate")))
-    return {"value": result.value, "regularized": result.regularized}
+    return vars(plates.stack_energy(plates.StackConfig(p["a"], p["x"], direction, p.get("truncate"))))
 
 
 def _no_truncated_combined(p):
@@ -241,7 +241,7 @@ def _shell_energy(p):
     params = gaussian.LGParams(t=p["t"], K=p["K"], L=p["L"], higher=tuple(p["higher"]))
     shell = gaussian.ShellSpec(dim=p["d"], cutoff=p["lambda"], shell_factor=p["b"],
                                temperature=p["T"])
-    return dataclasses.asdict(gaussian.casimir_energy_density(params, shell))
+    return vars(gaussian.casimir_energy_density(params, shell))
 
 
 def _rescale(p):
@@ -249,8 +249,7 @@ def _rescale(p):
     if B == "auto":
         B = gaussian.fixed_point_field_scale(p["b"], p["d"])
     params = gaussian.LGParams(t=p["t"], K=p["K"], L=p["L"])
-    rescaled = gaussian.rg_rescale(params, p["b"], B, p["d"])
-    return {"B": B, "t": rescaled.t, "K": rescaled.K, "L": rescaled.L}
+    return {"B": B, **vars(gaussian.rg_rescale(params, p["b"], B, p["d"]))}
 
 
 def _lattice(p):
@@ -292,8 +291,7 @@ COMMANDS = {
                 Param("kind", _one_of("dirichlet", "em"), "dirichlet",
                       "field kind (default: dirichlet)")),
         header=("a", "kind", "value"), inputs=("a", "kind"),
-        compute=lambda p: {"value": plates.pair_interaction_energy(
-            p["a"], plates.FieldKind(p["kind"])).value},
+        compute=lambda p: vars(plates.pair_interaction_energy(p["a"], plates.FieldKind(p["kind"]))),
     ),
     "plates-stack": _STACK,
     # a sweep point has no truncate, so the stack's check passes it
@@ -307,7 +305,7 @@ COMMANDS = {
                 Param("x", _number, help="evaluation point"),
                 Param("tol", _positive, 1e-10, "convergent agreement tolerance (default 1e-10)")),
         header=("value", "converged", "convergents_used", "residual"), inputs=(),
-        compute=lambda p: dataclasses.asdict(series.self_similar_sum(
+        compute=lambda p: vars(series.self_similar_sum(
             series.PowerSeries(tuple(p["coeffs"])), p["x"], p["tol"])),
     ),
     "gaussian-energy": _SHELL,
@@ -431,7 +429,8 @@ def execute(config: RunConfig) -> ResultSet:
         record = {key: point[name] for key, name in zip(command.header, command.inputs)
                   if point.get(name, []) != []}
         try:
-            record.update(command.compute(point))
+            computed = command.compute(point)
+            record.update((key, computed[key]) for key in command.header[len(command.inputs):])
         except (ValueError, ArithmeticError, QuadratureConvergenceError) as exc:
             record["error"] = str(exc)
         records.append(record)

@@ -17,7 +17,6 @@ periodic lattices verify the underlying Fourier identities exactly.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -299,16 +298,18 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     """pref * the integral of _integrand(coeffs) over the shell times scale,
     for (coeffs, pref, scale) = form(), once the kernel is positive on it.
 
-    Where g overflows at a top edge above 1, the samples are _wide's, |pref|
-    times 2^-k, and the value and error estimate are multiplied by 2^k.
-    The one float-range rule of the shell energies: a step that overflows or
-    divides by an underflowed kernel (ArithmeticError), or a value or error
-    estimate beyond the float range, raises ValueError naming that range.
+    The plain integrand is used where _plain_fits holds; elsewhere the
+    samples are _wide's, |pref| times 2^-k, and the value and error estimate
+    are multiplied by 2^k.  A step that overflows or divides by an
+    underflowed kernel (ArithmeticError), or a value or error estimate
+    beyond the float range, raises ValueError naming that range.
     """
     lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
     _check_positive_on(params.coefficients, lo, hi)
     try:
         coeffs, pref, scale = form()
+        if not abs(pref) < math.inf:
+            raise OverflowError     # T^2 or T^2 k_d: every sample would be inf or nan
         a, c = lo * scale, hi * scale
         # starting panels [a, 2a], [2a, 4a], ..., [2^n a, c]: no panel spans a
         # ratio above 2, so a near-critical feature at the lower edge is seen;
@@ -318,9 +319,8 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
             points.append(x)
             x *= 2.0
         f, k = _integrand(coeffs, shell.dim), None
-        with contextlib.suppress(ArithmeticError):  # q^(d-1) overflows at c; the nodes may not
-            if c > 1.0 and not 0.0 < f(c) < math.inf:
-                f, k = _wide(coeffs, shell.dim, abs(pref), [a, *points, c])
+        if not _plain_fits(f, coeffs, shell.dim - 1, a, c):
+            f, k = _wide(coeffs, shell.dim, abs(pref), [a, *points, c])
         raw = integrate(f, a, c, rel_tol=1e-10, breakpoints=points)
         if k is None:
             value, err = pref * raw.value, abs(pref) * raw.abs_error_estimate
@@ -335,10 +335,32 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
                      f"over [{lo!r}, {hi!r}] at T = {shell.temperature!r}")
 
 
+def _plain_fits(f, coeffs: Sequence[float], p: int, a: float, c: float) -> bool:
+    """Whether each step of the plain integrand f(q) = q^p / g(u), u = q^2,
+    is a normal float at both shell edges a and c: u, q^p, each nonzero term
+    c_m u^m and its power, g, the sample and the sample times c - a (an
+    ArithmeticError counts as not).  For c_m >= 0 all but the sample rise
+    with q and the sample is log-concave in log q, so the edges bound each
+    from below on the shell, and all but the sample from above; a negative
+    c_m counts by its size, and the dip its term may make is not bounded."""
+    try:
+        u, um, w = a * a, 1.0, c - a
+        for cm in coeffs:
+            if cm and not (_TINY <= um and _TINY <= abs(cm) * um):
+                return False
+            um *= u
+        sa, sc = f(a), f(c)
+        return (_TINY <= u and c * c < math.inf and _TINY <= a ** p and _TINY <= sa and _TINY <= sc
+                and _TINY <= sa * w < math.inf and _TINY <= sc * w < math.inf)
+    except ArithmeticError:
+        return False
+
+
 def _wide(coeffs: Sequence[float], d: int, scale: float, probes: Sequence[float]):
     """(f, k): f(q) = 2^-k scale q^(d-1) / g(q^2), the terms of g summed as
     floats times powers of two, so none leaves the float range; k puts the
-    largest sample at the probes near 2^-64, so the integral stays a float."""
+    largest sample at the probes near 2^-64, and near 2^-64 / c where the
+    top probe c is below 1/2, so the integral stays a normal float."""
     terms = [(m, *math.frexp(cm)) for m, cm in enumerate(coeffs) if cm]
     ms, es = math.frexp(scale)
 
@@ -351,6 +373,7 @@ def _wide(coeffs: Sequence[float], d: int, scale: float, probes: Sequence[float]
         return y, es + (d - 1) * eq - top - k
 
     k = max(n + math.frexp(y)[1] for y, n in map(split, probes)) + 64
+    k += min(0, math.frexp(probes[-1])[1])
     return (lambda q: math.ldexp(*split(q, k))), k
 
 
@@ -381,11 +404,25 @@ def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> Quadratu
 
     def form():
         # coefficients of x^(2m) in g(sqrt(t/K) x)/t: c_m t^(m-1) / K^m, from 1, 1
-        reduced = [1.0, 1.0] + [c * t ** (m - 1) / K ** m for m, c in enumerate(rest, start=2)]
+        reduced = [1.0, 1.0] + [_reduced(c, t, K, m) for m, c in enumerate(rest, start=2)]
         d = shell.dim
         pref = -0.5 * radial_measure(d) * (t / K) ** (d / 2.0) * shell.temperature ** 2 / t
         return reduced, pref, math.sqrt(K / t)
     return _shell_integral(params, shell, form)
+
+
+def _reduced(c: float, t: float, K: float, m: int) -> float:
+    """c t^(m-1) / K^m, in that float form wherever t^(m-1), K^m, the product
+    and the quotient are normal floats, and plates._scaled's elsewhere."""
+    try:
+        tm, Km = t ** (m - 1), K ** m
+        product = c * tm
+        value = product / Km
+    except ArithmeticError:
+        value = product = tm = Km = 0.0
+    if _TINY <= min(tm, Km, abs(product), abs(value)) and abs(value) < math.inf:
+        return value
+    return _scaled(c, (t, m - 1), (K, -m))
 
 
 def leading_scaling_prediction(shell: ShellSpec, t: float) -> float:

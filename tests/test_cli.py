@@ -396,9 +396,11 @@ class TestMain:
         (["plates-stack", "--a", "1e298", "--x", "1e10", "--direction", "contraction", "--truncate", "32"], 0),
         (["plates-pair", "--a", "1e-110"], 2),
         (["plates-stack", "--a", "1", "--x", "1e200", "--direction", "contraction", "--truncate", "3"], 2),
-        # T^2, q^(d-1) and Gamma(d/2) overflow, and a 400-digit d is no float
+        # T^2 and Gamma(d/2) overflow, and a 400-digit d is no float; where
+        # q^(d-1) overflows, the samples are the wide-range integrand's and
+        # the energy, about -1.27e306, is a float
         (["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1e200", "--t", "1", "--K", "1"], 2),
-        (["gaussian-energy", "--d", "3", "--lambda", "1e308", "--b", "2", "--T", "1", "--t", "1", "--K", "1"], 2),
+        (["gaussian-energy", "--d", "3", "--lambda", "1e308", "--b", "2", "--T", "1", "--t", "1", "--K", "1"], 0),
         (["gaussian-energy", "--d", "344", "--lambda", "1", "--b", "2", "--T", "1", "--t", "1", "--K", "1"], 2),
         (["gaussian-energy", "--d", "1" + "0" * 400, "--lambda", "1", "--b", "2", "--T", "1", "--t", "1",
           "--K", "1"], 2),
@@ -573,13 +575,15 @@ class TestMain:
         assert "value" not in record and "non-positive" in record["error"]
 
     def test_overflowing_integrand_is_an_error_row(self, capsys):
-        # g = t = 1e-320 makes q^2 / g overflow at every node; the row names
-        # the first node at once instead of refining until panels collapse
+        # g = t = 1e-320 is subnormal and q^2 / g overflows: the samples are
+        # the wide-range integrand's, and the energy, -(1/4pi^2) (1 - 1/8) /
+        # (3 t) = -7.4e317, is beyond the float range
         argv = ["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1",
                 "--t", "1e-320", "--K", "0", "--L", "0"]
         assert main(argv) == 2
         (record,) = json.loads(capsys.readouterr().out)
-        assert record["error"] == "integrand is not finite at x = 0.9978638427802032: f(x) = inf"
+        assert record["error"] == ("value beyond the float range: shell energy in d = 3 "
+                                   "over [0.5, 1.0] at T = 1.0")
 
     @pytest.mark.parametrize("args, closed", [
         # u = q^2 overflows on the whole shell; the energy
@@ -596,6 +600,29 @@ class TestMain:
         assert main(argv) == 0
         (record,) = strict_json(capsys.readouterr().out)
         assert math.isclose(record["value"], closed, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("args, closed", [
+        # g overflows at a top edge <= 1
+        ("3 1 2 1e150 1.7e308 1.7e308", -2.6559477664886343e-11),
+        # q^(d-1) underflows
+        ("3 1e-165 2 1e154 1 1", -7.388002973920463e-190),
+        # q^(d-1) overflows
+        ("3 1e200 2 1 1 1", -1.2665147955292222e+198),
+        # g is subnormal and the plain samples overflow
+        ("1 1e-300 2 1 1e-320 0", -7.957835747726385e+18),
+        # u = q^2 underflows, so the plain K u is 0
+        ("1 1e-200 2 1 1e-300 1e100", -5.1208191174783364e+98),
+        # the plain integral is subnormal
+        ("1 1e-160 2 1e150 1e160 0", -7.957747154594767e-22),
+    ])
+    def test_energy_where_a_plain_step_is_not_normal(self, capsys, args, closed):
+        # --d --lambda --b --T --t --K; closed forms of g = t + K u at the float edges
+        argv = ["gaussian-energy"]
+        for name, value in zip(("d", "lambda", "b", "T", "t", "K"), args.split()):
+            argv += ["--" + name, value]
+        assert main(argv) == 0
+        (record,) = strict_json(capsys.readouterr().out)
+        assert abs(record["value"] - closed) <= record["abs_error_estimate"] + 4 * math.ulp(closed)
 
     def test_negative_value_in_exponent_form(self, capsys):
         assert main(["series-resum", "--coeffs", "[1,1,1]", "--x", "-9.9e-05"]) == 0

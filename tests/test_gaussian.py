@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -34,6 +34,8 @@ from sscasimir.quadrature import integrate
 D3_EXACT = -(0.5 - math.pi / 4.0 + math.atan(0.5)) / (4.0 * math.pi ** 2)
 # constant-kernel oracle in d=1: -(1/2)(1/pi)(1 - 1/2)
 D1_EXACT = -1.0 / (4.0 * math.pi)
+# 10^e for e over [-300, 300]
+_DECADES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 
 
 class TestLGParamsAt:
@@ -340,20 +342,49 @@ class TestCasimirEnergyDensity:
 
 
 class TestShellEnergyFloatRange:
-    """A shell energy with a step beyond the float range names that range."""
+    """A shell energy beyond the float range names that range, one below it
+    is -0.0, and one that is a float is within its error estimate."""
 
     @pytest.mark.parametrize("d, lam, b, T, t, K", [
         (3, 1.0, 2.0, 1e200, 1.0, 1.0),         # T^2 overflows
-        (3, 1e308, 2.0, 1.0, 1.0, 1.0),         # q^2 overflows
         (344, 1.0, 2.0, 1.0, 1.0, 1.0),         # Gamma(d/2) overflows
         (10 ** 400, 1.0, 2.0, 1.0, 1.0, 1.0),   # d is no float
         (3, 1.7e308, 1.1, 1.0, 1.0, 0.0),       # the shell's first midpoint overflowed
         (1, 1e-10, 2.0, 1.0, 0.0, 5e-324),      # g = K q^2 underflows to 0
-    ], ids=["T-squared", "q-power", "gamma", "400-digit-d", "midpoint", "kernel-underflow"])
+        (3, 1e200, 2.0, 1e200, 1.0, 1.0),       # T^2 and q^2 overflow
+    ], ids=["T-squared", "gamma", "400-digit-d", "midpoint", "kernel-underflow", "T-and-q-power"])
     def test_names_the_float_range(self, d, lam, b, T, t, K):
         shell = ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=T)
         with pytest.raises(ValueError, match="^value beyond the float range: "):
             casimir_energy_density(LGParams(t=t, K=K), shell)
+
+    def test_q_power_beyond_the_float_range(self):
+        # q^(d-1) = q^2 overflows at the top edge, the energy -(1/4pi^2)
+        # (hi - lo - atan hi + atan lo) is a float
+        shell = ShellSpec(dim=3, cutoff=1e308, shell_factor=2.0, temperature=1.0)
+        out = casimir_energy_density(LGParams(t=1.0, K=1.0), shell)
+        closed = -1.2665147955292221e+306
+        assert abs(out.value - closed) <= out.abs_error_estimate + 4 * math.ulp(closed)
+        assert out.abs_error_estimate <= 1e-10 * abs(closed)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), lam=_DECADES, log_b=st.floats(0.001, 300.0),
+           T=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
+           t=st.just(0.0) | _DECADES, K=st.just(0.0) | _DECADES)
+    def test_matches_the_closed_form_over_the_float_range(self, d, lam, log_b, T, t, K):
+        b = 10.0 ** log_b
+        assume((t or K) and lam / b > 0.0)
+        exact = float(linear_kernel_energy(d, lam, b, T, t, K))
+        shell = ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=T)
+        if math.isinf(exact):
+            with pytest.raises(ValueError, match="^value beyond the float range: "):
+                casimir_energy_density(LGParams(t=t, K=K), shell)
+            return
+        out = casimir_energy_density(LGParams(t=t, K=K), shell)
+        if exact == 0.0:
+            assert out.value == 0.0 and math.copysign(1.0, out.value) == -1.0
+        else:
+            assert abs(out.value - exact) <= out.abs_error_estimate + 4 * math.ulp(exact)
 
     def test_dimensionless_form_names_the_float_range(self):
         # (t/K)^(d/2) overflows
@@ -463,6 +494,27 @@ def _shell_primitive(d, q, a):
     return q * q / 2 - a / 2 * mpmath.log(q * q + a)
 
 
+def linear_kernel_energy(d, lam, b, T, t, K):
+    """The shell energy of g = t + K u (t, K >= 0, not both 0) over the float
+    shell lam/b < q < lam, from its closed form.  The primitives at the two
+    edges cancel to about min(x, 1/x)^2 of their size (d = 4 at small x),
+    x = K q^2 / t, so the working digits grow by twice the decades of x."""
+    lo = lam / b
+    digits = 40
+    if t and K:
+        digits += max(int(2 * abs(math.log10(t) - math.log10(K) - 2 * math.log10(q))) for q in (lo, lam))
+    with mpmath.workdps(digits):
+        lo, hi, T, t, K = (mpmath.mpf(v) for v in (lo, lam, T, t, K))
+        if not K:
+            integral = (hi ** d - lo ** d) / (d * t)
+        elif not t:     # q^(d-3) / K
+            integral = mpmath.log(hi / lo) / K if d == 2 else (hi ** (d - 2) - lo ** (d - 2)) / ((d - 2) * K)
+        else:
+            integral = (_shell_primitive(d, hi, t / K) - _shell_primitive(d, lo, t / K)) / K
+        k_d = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2) / (2 * mpmath.pi) ** d
+        return -T * T / 2 * k_d * integral
+
+
 def quadratic_kernel_energy(d, lam, b, T, t, K, L):
     """The shell energy of g = t + K u + L u^2 (t, K > 0, L >= 0, K^2 > 4 t L)
     over the float shell lam/b < q < lam, exactly to 40 digits by partial
@@ -557,6 +609,18 @@ class TestDimensionlessForm:
                         assert abs(mapped.value - direct.value) <= (
                             direct.abs_error_estimate + mapped.abs_error_estimate
                         )
+
+    def test_subnormal_reduced_coefficient(self):
+        # h t^3 = 9.0e-323 is subnormal: the plain reduced coefficient
+        # h t^3 / K^4 was 1.6104e-249, not 1.6317e-249, and the energy -2.79487e21
+        params = LGParams(t=1.482348213588199e-92, K=4.847610908422039e-19,
+                          higher=(0.0, 2.7662531209866225e-47))
+        shell = ShellSpec(3, 11744084129130.31, 1.0062205635208438e+68, 1.0)
+        direct = casimir_energy_density(params, shell)
+        mapped = dimensionless_energy_density(params, shell)
+        assert abs(mapped.value - direct.value) <= (
+            direct.abs_error_estimate + mapped.abs_error_estimate
+        )
 
     def test_critical_point_rejected(self):
         with pytest.raises(ValueError):

@@ -350,6 +350,20 @@ class TestNearTheLargestFloat:
         assert all(1e308 <= x <= 1.7e308 for x in calls)
         assert abs(out.value - math.log(1.7)) <= out.abs_error_estimate
 
+    def test_bisected_midpoint_whose_sum_overflows(self):
+        # a peak of width 1e305 at 1.35e308: the panels are bisected, and each
+        # bisection's plo + phi overflows; the value is within its estimate
+        # of 1e305 (atan(350) - atan(-350))
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / (1.0 + ((x - 1.35e308) / 1e305) ** 2)
+        out = integrate(f, 1e308, 1.7e308)
+        assert out.evaluations > 15
+        assert all(1e308 <= x <= 1.7e308 for x in calls)
+        assert abs(out.value - 3.1358783834245077e+305) <= out.abs_error_estimate
+
     def test_half_width_whose_difference_overflows(self):
         out = integrate(lambda x: 1e-300, -1e308, 1e308)
         assert out.value == pytest.approx(2e8, rel=1e-14)
