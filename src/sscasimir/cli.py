@@ -15,9 +15,10 @@ explicit flags override file values and unknown keys are rejected.
 
 The header is the command's one row schema in JSON and CSV, plus the field
 every command shares, error: a row whose computation fails (ValueError,
-ArithmeticError, a quadrature that does not converge) keeps its input fields
-and gets the failure message as its error, so a sweep never aborts on one
-bad point, and a failed power-law fit reports its error the same way.  A
+ArithmeticError, an array too large to allocate, a quadrature that does not
+converge) keeps its input fields and gets the failure message as its error,
+so a sweep never aborts on one bad point, and a failed power-law fit
+reports its error the same way.  A
 JSON row leaves out the fields it does not have, a CSV row leaves their
 cells empty, and the CSV writer raises on a field no header declares.
 stderr carries only usage and I/O errors.  The exit code is 0 for full or
@@ -82,18 +83,19 @@ class SweepSpec:
             raise ValueError(f"log-spaced sweep of '{self.variable}' needs min > 0, got {self.lo}")
 
     def grid(self) -> list[float]:
+        """[lo, *interior, hi]: the ends are the bounds as given, and only the
+        interior points are computed, so no rounded end can overflow."""
         lo, hi, steps = self.lo, self.hi, self.steps
         if self.log:
             llo, lhi = math.log(lo), math.log(hi)
-            vals = [math.exp(llo + (lhi - llo) * i / (steps - 1)) for i in range(steps)]
+            inner = [math.exp(llo + (lhi - llo) * i / (steps - 1)) for i in range(1, steps - 1)]
         else:
-            vals = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+            inner = [lo + (hi - lo) * i / (steps - 1) for i in range(1, steps - 1)]
             # where the width or its multiple overflows, add half of the offset twice
             half = 0.5 * hi - 0.5 * lo
-            vals = [v if math.isfinite(v) else lo + half * (i / (steps - 1)) + half * (i / (steps - 1))
-                    for i, v in enumerate(vals)]
-        vals[0], vals[-1] = lo, hi
-        return vals
+            inner = [v if math.isfinite(v) else lo + half * (i / (steps - 1)) + half * (i / (steps - 1))
+                     for i, v in enumerate(inner, start=1)]
+        return [lo, *inner, hi]
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,12 @@ def _number(v):
     if not math.isfinite(f):
         raise ValueError(f"must be finite, got {v!r}")
     return f
+
+
+def _boolean(v):
+    if not isinstance(v, bool):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
 
 
 def _integer(v):
@@ -268,7 +276,7 @@ _GLOBALS = (
 )
 _SPACING = Param("a", _positive, help="base spacing")
 _DIRECTION = Param("direction", _one_of("inflation", "contraction", "combined"))
-_GRID = (Param("steps", _two_or_more), Param("log", bool, False, "log-spaced grid"))
+_GRID = (Param("steps", _two_or_more), Param("log", _boolean, False, "log-spaced grid"))
 _STACK = Command(
     params=(_SPACING, Param("x", _above_one, help="stack ratio (> 1)"), _DIRECTION,
             Param("truncate", _two_or_more, None, "finite plate count (>= 2)")),
@@ -312,7 +320,7 @@ COMMANDS = {
     "gaussian-sweep": dataclasses.replace(
         _SHELL, params=(Param("var", _one_of("lambda", "b", "t")), Param("min", _number),
                         Param("max", _number), *_GRID,
-                        Param("fit", bool, False, "append a power-law fit record"), *_SHELL.params),
+                        Param("fit", _boolean, False, "append a power-law fit record"), *_SHELL.params),
         sweep=lambda p: SweepSpec(p["var"], p["min"], p["max"], p["steps"], p["log"]),
     ),
     "gaussian-rg": Command(
@@ -346,7 +354,7 @@ def _command_parser(name: str) -> _Parser:
     # '-0.5'; this also admits the exponent form, as in '--x -9.9e-05'
     parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
     for param in COMMANDS[name].params + _GLOBALS:
-        flag = dict(action="store_const", const=True) if param.parse is bool else {}
+        flag = dict(action="store_const", const=True) if param.parse is _boolean else {}
         metavar = getattr(param.parse, "metavar", param.name.upper().replace("-", "_"))
         parser.add_argument(f"--{param.name}", dest=param.name, help=param.help,
                             metavar=metavar, **flag)
@@ -431,7 +439,7 @@ def execute(config: RunConfig) -> ResultSet:
         try:
             computed = command.compute(point)
             record.update((key, computed[key]) for key in command.header[len(command.inputs):])
-        except (ValueError, ArithmeticError, QuadratureConvergenceError) as exc:
+        except (ValueError, ArithmeticError, MemoryError, QuadratureConvergenceError) as exc:
             record["error"] = str(exc)
         records.append(record)
     if p.get("fit"):

@@ -17,6 +17,7 @@ periodic lattices verify the underlying Fourier identities exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -200,36 +201,34 @@ def _integrand(coeffs: Sequence[float], d: int):
 
     coeffs holds at least three coefficients; g is evaluated as kernel
     evaluates it, zero terms left out, so the samples are kernel's bits.
-    The common forms, t + u (K + u L) with none or two higher terms and
-    t + u K, are unrolled; the rest run kernel's loop.
     """
-    t, K, L, *higher = coeffs
-    p = d - 1
-    if L and not any(higher):
-        def f(q):
-            u = q * q
-            return q ** p / (t + u * (K + u * L))
-    elif K and not (L or any(higher)):
-        def f(q):
-            return q ** p / (t + q * q * K)
-    elif L and len(higher) == 2 and all(higher):
-        h0, h1 = higher
+    return _integrand_maker(tuple(map(bool, coeffs)))(d - 1, *coeffs)
 
-        def f(q):
-            u = q * q
-            u3 = u * u * u
-            return q ** p / (t + u * (K + u * L) + h0 * u3 + h1 * (u3 * u))
-    else:
-        def f(q):
-            u = q * q
-            acc = t + u * (K + u * L) if L else t + u * K if K else t
-            qp = u * u * u
-            for h in higher:
-                if h:
-                    acc += h * qp
-                qp *= u
-            return q ** p / acc
-    return f
+
+@functools.cache
+def _integrand_maker(nonzero: tuple[bool, ...]):
+    """make(p, *coeffs): q -> q^p / g(q^2), g written out in kernel's order for
+    coefficients that are nonzero where nonzero is True.  The source holds no
+    coefficient, so kernels with one pattern share one maker."""
+    last = max((m for m, c in enumerate(nonzero) if c and m > 2), default=2)
+    g = "c0 + u * (c1 + u * c2)" if nonzero[2] else (
+        "c0 + u * c1" if last > 2 else "c0 + q * q * c1") if nonzero[1] else "c0"
+    body, power = ["u = q * q"] * (nonzero[2] or last > 2), "u * u * u"
+    for m in range(3, min(last, 4) + 1):
+        if nonzero[m] and m < last:     # a power that a later one goes on from
+            body.append(f"u{m} = {power}")
+            power = f"u{m}"
+        g += f" + c{m} * ({power})" * nonzero[m]
+        power += " * u"
+    if last > 4:    # a statement per further power: the compiler nests a level per operator
+        body, g = body + [f"g = {g}"], "g"
+        for m in range(5, last + 1):
+            body += [f"w = {power}"] + [f"g = g + c{m} * w"] * nonzero[m]
+            power = "w * u"
+    body.append(f"return q ** p / ({g})")
+    exec(f"def make(p, {', '.join(f'c{m}' for m in range(len(nonzero)))}):\n    def f(q):\n"
+         + "".join(f"        {line}\n" for line in body) + "    return f\n", namespace := {})
+    return namespace["make"]
 
 
 def solid_angle(d: int) -> float:
@@ -240,7 +239,13 @@ def solid_angle(d: int) -> float:
 
 def radial_measure(d: int) -> float:
     """Angular factor solid_angle(d) / (2 pi)^d of the radial mode integral."""
-    return solid_angle(d) / (2.0 * math.pi) ** d
+    return _angular(d)[1]
+
+
+def _angular(d: int) -> tuple[float, float]:
+    """(solid_angle(d), radial_measure(d)), the solid angle taken once."""
+    omega = solid_angle(d)
+    return omega, omega / (2.0 * math.pi) ** d
 
 
 def _sign_at(p: list[int], n: int, s: int) -> int:
@@ -295,21 +300,24 @@ def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> None:
 
 
 def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResult:
-    """pref * the integral of _integrand(coeffs) over the shell times scale,
-    for (coeffs, pref, scale) = form(), once the kernel is positive on it.
+    """The prefactor times the integral of _integrand(coeffs) over the shell
+    times scale, for (coeffs, scale, factors, steps) = form(), once the kernel
+    is positive on the shell.  The prefactor is negative; factors is it as
+    plates._scaled takes it, and steps the sizes of its plain float form's
+    steps in their order, the last the prefactor's size.
 
-    The plain integrand is used where _plain_fits holds; elsewhere the
-    samples are _wide's, |pref| times 2^-k, and the value and error estimate
-    are multiplied by 2^k.  A step that overflows or divides by an
+    The value and error estimate are -steps[-1] times the integral's where
+    the integrand is plain (_plain_fits) and each step is a normal float.
+    Elsewhere _scaled takes the product of factors, the integral and 2^k,
+    the samples being _wide's, 2^-k times the integrand, where it is not
+    plain (k = 0 where it is).  A step that overflows or divides by an
     underflowed kernel (ArithmeticError), or a value or error estimate
     beyond the float range, raises ValueError naming that range.
     """
     lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
     _check_positive_on(params.coefficients, lo, hi)
     try:
-        coeffs, pref, scale = form()
-        if not abs(pref) < math.inf:
-            raise OverflowError     # T^2 or T^2 k_d: every sample would be inf or nan
+        coeffs, scale, factors, steps = form()
         a, c = lo * scale, hi * scale
         # starting panels [a, 2a], [2a, 4a], ..., [2^n a, c]: no panel spans a
         # ratio above 2, so a near-critical feature at the lower edge is seen;
@@ -318,15 +326,21 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
         while 0.0 < x < c:
             points.append(x)
             x *= 2.0
-        f, k = _integrand(coeffs, shell.dim), None
-        if not _plain_fits(f, coeffs, shell.dim - 1, a, c):
-            f, k = _wide(coeffs, shell.dim, abs(pref), [a, *points, c])
+        f, k = _integrand(coeffs, shell.dim), 0
+        plain = _plain_fits(f, coeffs, shell.dim - 1, a, c)
+        if not plain:
+            f, k = _wide(coeffs, shell.dim, [a, *points, c])
         raw = integrate(f, a, c, rel_tol=1e-10, breakpoints=points)
-        if k is None:
-            value, err = pref * raw.value, abs(pref) * raw.abs_error_estimate
+        if plain and _TINY <= min(steps) and max(steps) < math.inf:
+            size = steps[-1]
+            value, err = -size * raw.value, size * raw.abs_error_estimate
         else:
-            value = math.copysign(math.ldexp(raw.value, k), pref)
-            err = math.ldexp(raw.abs_error_estimate, k)
+            lead, *powers = factors
+            try:
+                value = _scaled(lead, *powers, (raw.value, 1), (2.0, k))
+                err = _scaled(abs(lead), *powers, (raw.abs_error_estimate, 1), (2.0, k))
+            except ValueError:      # beyond the float range
+                value = err = math.inf
     except ArithmeticError:
         value = err = math.inf
     if max(abs(value), err) < math.inf:
@@ -356,21 +370,20 @@ def _plain_fits(f, coeffs: Sequence[float], p: int, a: float, c: float) -> bool:
         return False
 
 
-def _wide(coeffs: Sequence[float], d: int, scale: float, probes: Sequence[float]):
-    """(f, k): f(q) = 2^-k scale q^(d-1) / g(q^2), the terms of g summed as
+def _wide(coeffs: Sequence[float], d: int, probes: Sequence[float]):
+    """(f, k): f(q) = 2^-k q^(d-1) / g(q^2), the terms of g summed as
     floats times powers of two, so none leaves the float range; k puts the
     largest sample at the probes near 2^-64, and near 2^-64 / c where the
     top probe c is below 1/2, so the integral stays a normal float."""
     terms = [(m, *math.frexp(cm)) for m, cm in enumerate(coeffs) if cm]
-    ms, es = math.frexp(scale)
 
     def split(q, k=0):
-        # 2^-k scale q^(d-1) / g(q^2) = y 2^n
+        # 2^-k q^(d-1) / g(q^2) = y 2^n
         mq, eq = math.frexp(q)
         parts = [(mc * mq ** (2 * m), ec + 2 * m * eq) for m, mc, ec in terms]
         top = max(n for _, n in parts)
-        y = ms * mq ** (d - 1) / sum(math.ldexp(v, n - top) for v, n in parts)
-        return y, es + (d - 1) * eq - top - k
+        y = mq ** (d - 1) / sum(math.ldexp(v, n - top) for v, n in parts)
+        return y, (d - 1) * eq - top - k
 
     k = max(n + math.frexp(y)[1] for y, n in map(split, probes)) + 64
     k += min(0, math.frexp(probes[-1])[1])
@@ -385,8 +398,20 @@ def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResu
     positive across the shell; the result is then strictly negative.
     """
     def form():
-        return params.coefficients, -0.5 * shell.temperature ** 2 * radial_measure(shell.dim), 1.0
+        T2, k_d, factors = _prefactor(shell)
+        half = 0.5 * T2
+        return params.coefficients, 1.0, factors, (T2, k_d, half, half * k_d)
     return _shell_integral(params, shell, form)
+
+
+def _prefactor(shell: ShellSpec):
+    """(T^2, k_d, factors): the two float steps that both energy forms take
+    into their prefactor, and -0.5 T^2 k_d as plates._scaled's factors
+    -0.5, solid_angle(d), (2 pi)^-d and T^2.  Gamma(d/2) overflows from
+    d = 344 on (OverflowError)."""
+    d, T = shell.dim, shell.temperature
+    omega, k_d = _angular(d)
+    return _power(T, 2), k_d, (-0.5, (omega, 1), (2.0 * math.pi, -d), (T, 2))
 
 
 def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResult:
@@ -405,9 +430,19 @@ def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> Quadratu
     def form():
         # coefficients of x^(2m) in g(sqrt(t/K) x)/t: c_m t^(m-1) / K^m, from 1, 1
         reduced = [1.0, 1.0] + [_reduced(c, t, K, m) for m, c in enumerate(rest, start=2)]
-        d = shell.dim
-        pref = -0.5 * radial_measure(d) * (t / K) ** (d / 2.0) * shell.temperature ** 2 / t
-        return reduced, pref, math.sqrt(K / t)
+        scale = math.sqrt(K / t)
+        if not 0.0 < scale < math.inf:
+            raise OverflowError     # the mapped shell is 0 or beyond the float range
+        d, (T2, k_d, factors) = shell.dim, _prefactor(shell)
+        # the prefactor -0.5 k_d (t/K)^(d/2) T^2 / t; factors take (t/K)^(d/2)
+        # as sqrt(K/t)^-d, from the scale the integral maps with
+        ratio = t / K
+        power = _power(ratio, d / 2.0)
+        p1 = 0.5 * k_d
+        p2 = p1 * power
+        p3 = p2 * T2
+        return (reduced, scale, (*factors, (scale, -d), (t, -1)),
+                (k_d, ratio, power, T2, p1, p2, p3, p3 / t))
     return _shell_integral(params, shell, form)
 
 

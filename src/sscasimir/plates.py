@@ -265,8 +265,11 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
     else:
         terms = (_contraction_pair_energy(a, x, k) for k in range(1, n))
     # every term is <= 0, so a sum that underflows to zero is the limit -0.0
-    # (fsum of -0.0 terms is 0.0)
-    value = math.fsum(terms) or -0.0
+    # (fsum of -0.0 terms is 0.0), and one that overflows is beyond the range
+    try:
+        value = math.fsum(terms) or -0.0
+    except OverflowError:
+        raise ValueError(f"value beyond the float range: sum of {n - 1} pair energies") from None
     return EnergyDensity(value, regularized=False)
 
 

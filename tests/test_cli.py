@@ -101,6 +101,29 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="log"):
             parse_config(base + ["--x-min", "-1", "--x-max", "3", "--steps", "4", "--log"])
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("plates-sweep", "log", "false"),
+        ("plates-sweep", "log", [1]),
+        ("plates-sweep", "log", 1),
+        ("gaussian-sweep", "fit", "true"),
+        ("gaussian-sweep", "fit", 0),
+    ])
+    def test_config_file_booleans_are_json_booleans(self, tmp_path, capsys, command, key, value):
+        # a string or list was read with bool: "false" ran a log-spaced grid
+        params = {"a": 1, "direction": "inflation", "x-min": 1.5, "x-max": 3, "steps": 3}
+        if command == "gaussian-sweep":
+            params = {"var": "lambda", "min": 1, "max": 2, "steps": 3,
+                      "d": 3, "b": 2, "T": 1, "t": 1, "K": 1}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**params, key: value}))
+        assert main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: parameter '{key}' must be true or false, got {value!r}\n"
+        path.write_text(json.dumps({**params, key: False}))
+        assert parse_config([command, "--config", str(path)]).parameters[key] is False
+        path.write_text(json.dumps({**params, key: True}))
+        assert parse_config([command, "--config", str(path)]).parameters[key] is True
+
     def test_coeffs_inline_and_file(self, tmp_path):
         inline = parse_config(["series-resum", "--coeffs", "[1, 1, 1]", "--x", "2"])
         assert inline.parameters["coeffs"] == [1.0, 1.0, 1.0]
@@ -201,6 +224,14 @@ class TestSweepSpec:
         grid = SweepSpec(variable="x", lo=0.0, hi=hi, steps=4).grid()
         assert grid[:2] == [0.0, hi * 1 / 3] and grid[3] == hi
         assert grid[2] == pytest.approx(2 * (hi / 3), rel=1e-15)
+
+    @pytest.mark.parametrize("lo, steps", [(1e-300, 4), (3.0, 14)])
+    def test_log_grid_up_to_the_largest_float(self, lo, steps):
+        # the rounded last exponent, log hi, gave exp an OverflowError
+        hi = sys.float_info.max
+        grid = SweepSpec(variable="x", lo=lo, hi=hi, steps=steps, log=True).grid()
+        assert len(grid) == steps and grid[0] == lo and grid[-1] == hi
+        assert all(x < y for x, y in zip(grid, grid[1:]))
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -623,6 +654,51 @@ class TestMain:
         assert main(argv) == 0
         (record,) = strict_json(capsys.readouterr().out)
         assert abs(record["value"] - closed) <= record["abs_error_estimate"] + 4 * math.ulp(closed)
+
+    @pytest.mark.parametrize("args, exact", [
+        # k_d is subnormal (d = 250) or 0 (d = 300): the energies were -0.0
+        ("--d 250 --lambda 10 --T 1", -1.0521875123782154e-99),
+        ("--d 300 --lambda 30 --T 1", -1758532296663.8557),
+        # T^2 is subnormal: -T^2 / (4 pi t) was 0.04% off, the other 0.5% off
+        ("--d 1 --lambda 1 --T 1e-160 --t 1e-300 --K 0", -7.957747154594766e-22),
+        ("--d 3 --lambda 1e10 --T 1e-160 --K 1e-30", -7.388002973429687e-293),
+        # T^2 overflows but -T^2 / (4 pi t) does not: was the float-range error
+        ("--d 1 --lambda 1 --T 1e200 --t 1e300 --K 0", -7.957747154594766e+98),
+    ])
+    def test_energy_whose_prefactor_steps_are_not_normal(self, capsys, args, exact):
+        # references to 40 digits; --b 2, and --t 1 --K 1 where not given
+        argv = ["gaussian-energy", "--b", "2", "--t", "1", "--K", "1", *args.split()]
+        assert main(argv) == 0
+        (record,) = strict_json(capsys.readouterr().out)
+        assert abs(record["value"] - exact) <= record["abs_error_estimate"] + 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("argv, lo, hi, var", [
+        (["plates-sweep", "--a", "1", "--direction", "inflation", "--x-min", "1e-300",
+          "--x-max", "1.7976931348623157e308", "--steps", "4", "--log"],
+         1e-300, sys.float_info.max, "x"),
+        (["gaussian-sweep", "--var", "lambda", "--min", "3", "--max", "1.7976931348623157e308",
+          "--steps", "14", "--log", "--d", "3", "--b", "2", "--T", "1", "--t", "1", "--K", "1"],
+         3.0, sys.float_info.max, "lambda"),
+    ])
+    def test_log_sweep_up_to_the_largest_float(self, capsys, argv, lo, hi, var):
+        # exp of the rounded last exponent raised OverflowError out of main
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        records = strict_json(out)
+        assert err == "" and records[0][var] == lo and records[-1][var] == hi
+
+    @pytest.mark.parametrize("argv, shape", [
+        (["--d", "2", "--sites", "100000000"], "(100000000, 100000000)"),
+        (["--d", "1", "--sites", "10000000000000000"], "(10000000000000000,)"),
+    ])
+    def test_lattice_too_large_to_allocate_is_an_error_row(self, capsys, argv, shape):
+        # 71.1 PiB: more than any address space holds, so numpy's allocation
+        # fails at once; its MemoryError escaped main
+        assert main(["lattice-check", *argv]) == 2
+        out, err = capsys.readouterr()
+        (record,) = strict_json(out)
+        assert err == "" and "value" not in record
+        assert record["error"].startswith("Unable to allocate") and shape in record["error"]
 
     def test_negative_value_in_exponent_form(self, capsys):
         assert main(["series-resum", "--coeffs", "[1,1,1]", "--x", "-9.9e-05"]) == 0

@@ -13,6 +13,7 @@ from scipy.integrate import quad as scipy_quad
 from sscasimir.gaussian import (
     _check_positive_on,
     _integrand,
+    _integrand_maker,
     BelowCriticalityError,
     LGParams,
     ShellSpec,
@@ -124,7 +125,8 @@ class TestIntegrand:
            d=st.integers(1, 4), q=SAMPLE_Q)
     @example(data=None, t=0.0, K=0.0, L=0.0, d=2, q=2.0 ** 128)
     def test_equals_kernel_quotient(self, n_higher, data, t, K, L, d, q):
-        # the closure's samples are kernel's bits, whichever branch it unrolls
+        # the closure's samples are kernel's bits, whichever pattern of
+        # nonzero coefficients it is written for
         higher = () if data is None else data.draw(
             st.lists(st.floats(-1e3, 1e3), min_size=n_higher, max_size=n_higher))
         params = LGParams(t=t, K=K, L=L, higher=tuple(higher))
@@ -139,6 +141,22 @@ class TestIntegrand:
         params = LGParams(t=1.0, K=1.0, L=1.0, higher=higher)
         assert kernel(params, q) == g
         assert _integrand(params.coefficients, 1)(q) == 1.0 / g
+
+    @pytest.mark.parametrize("higher", [(1e-3,) * 3000, (0.0,) * 2999 + (1e-3,), (1e-3, 0.0) * 1500],
+                             ids=["dense", "one-term", "alternating"])
+    def test_kernel_of_any_degree(self, higher):
+        # from u^5 on each power and term is a statement of its own: as one
+        # expression, 3000 terms or 3000 factors u are too deep for the compiler
+        params = LGParams(t=1.0, K=1.0, L=1.0, higher=higher)
+        for q in (0.5, 1.0, 1.0001):
+            assert _integrand(params.coefficients, 3)(q) == q ** 2 / kernel(params, q)
+
+    def test_one_maker_per_pattern_of_nonzero_coefficients(self):
+        _integrand((1.0, 2.0, 0.0, 3.0), 2)
+        hits = _integrand_maker.cache_info().hits
+        f = _integrand((5.0, 1e-3, 0.0, 7.0), 4)
+        assert _integrand_maker.cache_info().hits == hits + 1
+        assert f(2.0) == 2.0 ** 3 / (5.0 + 4.0 * 1e-3 + 7.0 * (4.0 * 4.0 * 4.0))
 
 
 def positive_on_shell(coeffs, lo, hi):
@@ -369,7 +387,7 @@ class TestShellEnergyFloatRange:
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(d=st.integers(1, 4), lam=_DECADES, log_b=st.floats(0.001, 300.0),
-           T=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
+           T=st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e),
            t=st.just(0.0) | _DECADES, K=st.just(0.0) | _DECADES)
     def test_matches_the_closed_form_over_the_float_range(self, d, lam, log_b, T, t, K):
         b = 10.0 ** log_b
@@ -391,6 +409,25 @@ class TestShellEnergyFloatRange:
         shell = ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0)
         with pytest.raises(ValueError, match="^value beyond the float range: "):
             dimensionless_energy_density(LGParams(t=1e300, K=1e-300), shell)
+
+    def test_dimensionless_form_whose_mapped_shell_leaves_the_floats(self):
+        # sqrt(K/t) is inf; this raised "integration limits must be finite"
+        shell = ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0)
+        with pytest.raises(ValueError, match="^value beyond the float range: "):
+            dimensionless_energy_density(LGParams(t=1e-300, K=1e300), shell)
+
+    @pytest.mark.parametrize("energy", [casimir_energy_density, dimensionless_energy_density])
+    @pytest.mark.parametrize("d, lam", [(250, 10.0), (300, 30.0)])
+    def test_prefactor_below_the_normal_floats(self, energy, d, lam):
+        # k_d is subnormal from d = 227 and 0 from d = 238: both energies
+        # were -0.0; the reference takes q^(d-1) / (1 + q^2) to 40 digits
+        with mpmath.workdps(40):
+            half_d = mpmath.mpf(d) / 2
+            k_d = 2 * mpmath.pi ** half_d / mpmath.gamma(half_d) / (2 * mpmath.pi) ** d
+            exact = float(-k_d / 2 * mpmath.quad(lambda q: q ** (d - 1) / (1 + q * q), [lam / 2, lam]))
+        shell = ShellSpec(dim=d, cutoff=lam, shell_factor=2.0, temperature=1.0)
+        out = energy(LGParams(t=1.0, K=1.0), shell)
+        assert abs(out.value - exact) <= out.abs_error_estimate + 4 * math.ulp(exact)
 
     def test_energy_below_the_float_range_is_minus_zero(self):
         # d = 343: Gamma(d/2) is a float, k_d is below the float range, and the

@@ -567,6 +567,14 @@ class TestFloatRange:
         # range and the bridging gap, 9e308, is beyond it: the limit is 0
         assert energy(1e308, 10.0).value == 0.0
 
+    @pytest.mark.parametrize("direction", [StackDirection.INFLATION, StackDirection.CONTRACTION])
+    def test_truncated_sum_beyond_the_float_range(self, direction):
+        # each of the 28 pair energies is a float near -7e306, their sum is
+        # not; fsum's OverflowError ("intermediate overflow in fsum") got out
+        config = StackConfig(1e-100, 1.001, direction, truncation=29)
+        with pytest.raises(ValueError, match=r"^value beyond the float range: sum of 28 pair energies$"):
+            truncated_stack_energy(config)
+
     def test_truncated_normal_path_is_bit_identical(self):
         for a in GRID_A:
             for x in GRID_X:
@@ -595,6 +603,10 @@ class TestFloatRange:
 def full_inflation_sum(a, x, n_plates):
     """Oracle: math.fsum over all n - 1 inflation pair energies, no early stop."""
     terms = [_pair_energy(_power(x, k) * a * (x - 1.0)) for k in range(1, n_plates)]
+    # fsum rounds the exact sum once, beyond the float range from half an ulp
+    # past the largest float on
+    if abs(sum(map(Fraction, terms))) >= 2 ** 1024 - 2 ** 970:
+        raise ValueError(f"value beyond the float range: sum of {n_plates - 1} pair energies")
     return math.fsum(terms) or -0.0
 
 
@@ -608,6 +620,7 @@ class TestInflationEarlyStop:
     @example(mantissa=3.73, exponent=0, x=3.73, n_plates=380)
     @example(mantissa=1.0, exponent=200, x=2.0, n_plates=3)         # every term is -0.0
     @example(mantissa=1.0, exponent=-110, x=2.0, n_plates=5)        # first energy beyond the range
+    @example(mantissa=1.0, exponent=-100, x=1.001, n_plates=29)     # each a float, their sum beyond
     def test_same_value_and_error_as_the_full_sum(self, mantissa, exponent, x, n_plates):
         a = mantissa * 10.0 ** exponent
         config = StackConfig(a, x, StackDirection.INFLATION, truncation=n_plates)
