@@ -435,6 +435,11 @@ class TestMain:
         (["gaussian-energy", "--d", "344", "--lambda", "1", "--b", "2", "--T", "1", "--t", "1", "--K", "1"], 2),
         (["gaussian-energy", "--d", "1" + "0" * 400, "--lambda", "1", "--b", "2", "--T", "1", "--t", "1",
           "--K", "1"], 2),
+        # g is about 1.6e-308 at its minimum inside the shell, where q^2 / g
+        # overflows: the energy, about -6.11e303, is a float
+        (["gaussian-energy", "--d", "3", "--lambda", "2", "--b", "2", "--T", "1", "--t", "3.60016e-304",
+          "--K", "2.0399999999999996e-303", "--L", "1.6899999999999996e-303",
+          "--higher", "[-3.3999999999999995e-303, 1e-303]"], 0),
         # the shell's midpoint overflowed and its nodes were inf
         (["gaussian-energy", "--d", "3", "--lambda", "1.7e308", "--b", "1.1", "--T", "1", "--t", "1",
           "--K", "0"], 2),

@@ -43,7 +43,8 @@ CASES = {
                              "--steps", "3", "--d", "1", "--lambda", "1", "--T", "1",
                              "--t", "1", "--K", "0", "--fit"],
     "series-resum-zero-lead": ["series-resum", "--coeffs", "[0,1,2]", "--x", "0.5"],
-    # a peaked kernel with two higher terms, refined over 705 evaluations
+    # a peaked kernel with two higher terms: 315 evaluations from the ladder
+    # of starting points around its dip (705 from the octaves alone)
     "gaussian-energy-peaked-higher": ["gaussian-energy", "--d", "3", "--lambda", "2", "--b", "2",
                                       "--T", "1", "--t", "0.25016", "--K", "1.75", "--L", "2.0625",
                                       "--higher", "[-3.5, 1.0]"],

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.integrate import quad as scipy_quad
 
 from sscasimir.gaussian import (
     _check_positive_on,
+    _dip,
     _integrand,
     _integrand_maker,
     BelowCriticalityError,
@@ -176,10 +178,18 @@ def decides_positive(coeffs, lo, hi):
     return True
 
 
+def dip_kernel(roots, eps):
+    """prod (u - r) over roots, plus eps, expanded in u = q^2, lowest power first."""
+    coeffs = [1.0]
+    for r in roots:
+        coeffs = [low - r * high for low, high in zip([0.0] + coeffs, coeffs + [0.0])]
+    coeffs[0] += eps
+    return tuple(coeffs)
+
+
 def peaked(u0, c, eps):
     """(u - u0)^2 (u + c)^2 + eps expanded in u = q^2, lowest power first."""
-    p, r = c - u0, -u0 * c
-    return (r * r + eps, 2.0 * p * r, p * p + 2.0 * r, 2.0 * p, 1.0)
+    return dip_kernel([u0, u0, -c, -c], eps)
 
 
 COEFFICIENT = st.one_of(st.integers(-4, 4).map(float),
@@ -404,6 +414,17 @@ class TestShellEnergyFloatRange:
         else:
             assert abs(out.value - exact) <= out.abs_error_estimate + 4 * math.ulp(exact)
 
+    def test_dip_whose_sample_leaves_the_floats(self):
+        # g is about 1.6e-308 at its minimum u = 2, where q^2 / g overflows
+        # while every step at the shell edges is a normal float; this raised
+        # "panel [1.4140625, 1.4150390625] is beyond the float range"
+        params = LGParams(t=3.60016e-304, K=2.0399999999999996e-303, L=1.6899999999999996e-303,
+                          higher=(-3.3999999999999995e-303, 1e-303))
+        out = casimir_energy_density(params, ShellSpec(dim=3, cutoff=2.0, shell_factor=2.0, temperature=1.0))
+        exact = -6.1126934717105187e+303    # 40-digit mpmath.quad split at the minimum
+        assert abs(out.value - exact) <= out.abs_error_estimate
+        assert out.abs_error_estimate <= 1e-10 * abs(exact)
+
     def test_dimensionless_form_names_the_float_range(self):
         # (t/K)^(d/2) overflows
         shell = ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0)
@@ -612,6 +633,126 @@ class TestNearCriticalOracle:
         out = casimir_energy_density(params, shell)
         one_panel = integrate(_integrand(params.coefficients, 1), 1e-3, 1.0, rel_tol=1e-10)
         assert 150 <= out.evaluations < one_panel.evaluations
+
+
+def dip_energy(coeffs, d, lo, hi, minima):
+    """-(1/2) k_d times the integral of q^(d-1) / g(q^2) over [lo, hi], g the
+    float coefficients taken exactly, by 30-digit mpmath.quad split at the
+    minima inside the shell."""
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(cm) for cm in coeffs]
+        splits = sorted(mpmath.sqrt(u) for u in minima if lo * lo < u < hi * hi)
+        integral = mpmath.quad(lambda q: q ** (d - 1) / mpmath.polyval(c[::-1], q * q),
+                               [lo, *splits, hi])
+        k_d = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2) / (2 * mpmath.pi) ** d
+        return float(-k_d / 2 * integral)
+
+
+def octave_points(lo, hi):
+    points, x = [], 2.0 * lo
+    while x < hi:
+        points.append(x)
+        x *= 2.0
+    return points
+
+
+# a shell lam / b < q < lam, lam = sqrt(u0) b^x, around a dip at u0 (and one
+# at u1 = ratio u0 for a quintic)
+DIP_SHELLS = dict(d=st.integers(1, 4), b=st.floats(1.2, 8.0), x=st.floats(0.1, 0.9),
+                  u0=st.floats(0.5, 3.0), c=st.floats(0.05, 0.26),
+                  ratio=st.one_of(st.none(), st.floats(1.3, 2.5)))
+
+
+def dip_shell(d, b, x, u0, c, ratio, log_eps):
+    """(kernel, shell, minima): (u - u0)^2 (u + c u0)^2 + eps, or with ratio
+    the two-dip quintic (u - u0)^2 (u - ratio u0)^2 (u + c u0) + eps, eps
+    10^log_eps times the size of the expanded terms at the top minimum, sum
+    |c_m| u^m, whose rounding sets how deep a dip integrate resolves.  The
+    quintic needs K < 0 or L < 0, so LGParams does not admit it; the energy
+    functions read only its coefficients."""
+    if ratio is None:
+        minima, roots = [u0], [u0, u0, -c * u0, -c * u0]
+    else:
+        minima = [u0, ratio * u0]
+        roots = [u0, u0, ratio * u0, ratio * u0, -c * u0]
+    size = math.fsum(abs(cm) * minima[-1] ** m for m, cm in enumerate(dip_kernel(roots, 0.0)))
+    coeffs = dip_kernel(roots, 10.0 ** log_eps * size)
+    params = LGParams(*coeffs[:3], coeffs[3:]) if ratio is None else SimpleNamespace(coefficients=coeffs)
+    lam = math.sqrt(u0) * b ** x
+    return params, ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=1.0), minima
+
+
+class TestDipOracle:
+    """Kernels with a near-zero minimum inside the shell, whose integrand is a
+    narrow peak: their starting points include a ladder around the minimum."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_eps=st.floats(-4.0, -1.0),
+           energy=st.sampled_from([casimir_energy_density, dimensionless_energy_density]), **DIP_SHELLS)
+    def test_error_estimate_covers_the_exact_energy(self, d, b, x, u0, c, ratio, log_eps, energy):
+        # below eps = 1e-4 of the terms the float kernel's own rounding near
+        # the dip reaches about 1e-10 of the energy, integrate's tolerance;
+        # the quintic's K may be negative, where the dimensionless form is
+        # undefined
+        assume(ratio is None or energy is casimir_energy_density)
+        params, shell, minima = dip_shell(d, b, x, u0, c, ratio, log_eps)
+        out = energy(params, shell)
+        exact = dip_energy(params.coefficients, d, shell.cutoff / b, shell.cutoff, minima)
+        assert abs(out.value - exact) <= out.abs_error_estimate
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(log_eps=st.floats(-6.0, -1.0), **DIP_SHELLS)
+    def test_agrees_with_the_octave_start(self, d, b, x, u0, c, ratio, log_eps):
+        # deeper dips, where the float kernel's rounding defeats the mpmath
+        # reference: the octave-only run is the reference, to both estimates
+        params, shell, _ = dip_shell(d, b, x, u0, c, ratio, log_eps)
+        out = casimir_energy_density(params, shell)
+        lo, hi = shell.cutoff / b, shell.cutoff
+        raw = integrate(_integrand(params.coefficients, d), lo, hi, rel_tol=1e-10,
+                        breakpoints=octave_points(lo, hi))
+        size = 0.5 * radial_measure(d)
+        assert abs(out.value + size * raw.value) <= out.abs_error_estimate + size * raw.abs_error_estimate
+
+    def test_peaked_kernel_spends_fewer_evaluations(self):
+        # the golden case gaussian-energy-peaked-higher: the minimum is u = 2
+        params = LGParams(t=0.25016, K=1.75, L=2.0625, higher=(-3.5, 1.0))
+        out = casimir_energy_density(params, ShellSpec(dim=3, cutoff=2.0, shell_factor=2.0, temperature=1.0))
+        octaves_only = integrate(_integrand(params.coefficients, 3), 1.0, 2.0, rel_tol=1e-10)
+        assert (out.evaluations, octaves_only.evaluations) == (315, 705)
+        assert abs(out.value - -1.9734955180621338) <= out.abs_error_estimate
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), lam=st.floats(0.1, 10.0), b=st.floats(1.05, 1e3),
+           t=st.floats(1e-6, 10.0), K=st.just(0.0) | st.floats(1e-3, 10.0),
+           L=st.just(0.0) | st.floats(1e-3, 10.0), higher=st.lists(st.just(0.0) | st.floats(1e-3, 10.0), max_size=3))
+    def test_no_negative_coefficient_keeps_the_octave_start(self, d, lam, b, t, K, L, higher):
+        # no minimum inside the shell: the same call, bit for bit, as integrate
+        # from the octave points
+        params = LGParams(t=t, K=K, L=L, higher=tuple(higher))
+        out = casimir_energy_density(params, ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=1.0))
+        raw = integrate(_integrand(params.coefficients, d), lam / b, lam, rel_tol=1e-10,
+                        breakpoints=octave_points(lam / b, lam))
+        assert (out.value.hex(), out.evaluations) == ((-0.5 * radial_measure(d) * raw.value).hex(),
+                                                      raw.evaluations)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coeffs=st.lists(st.just(0.0) | _DECADES.flatmap(lambda v: st.sampled_from([v, -v])),
+                           min_size=1, max_size=7),
+           lam=_DECADES, log_b=st.floats(0.001, 300.0))
+    def test_finder_stays_inside_the_shell(self, coeffs, lam, log_b):
+        a = lam / 10.0 ** log_b
+        assume(a > 0.0)
+        points = _dip(coeffs, a, lam)
+        assert all(a < q < lam for q in points)
+        assert len(set(points)) == len(points)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-303])
+    def test_finder_at_the_float_range_ends(self, scale):
+        # the golden peaked kernel times scale: its minimum stays at u = 2
+        coeffs = [scale * cm for cm in (0.25016, 1.75, 2.0625, -3.5, 1.0)]
+        points = _dip(coeffs, 1.0, 2.0)
+        assert points[0] == pytest.approx(math.sqrt(2.0), rel=1e-9)
+        assert all(1.0 < q < 2.0 for q in points) and len(points) > 10
 
 
 class TestDimensionlessForm:
