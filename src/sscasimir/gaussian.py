@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .plates import _TINY, _power, _scaled
-from .quadrature import QuadratureConvergenceError, QuadratureResult, integrate
+from .quadrature import QuadratureConvergenceError, QuadratureResult, _compile_panel, integrate
 
 # numpy is imported only where an array is made: the other layers and the
 # commands that do not use it start without its import time
@@ -201,15 +201,28 @@ def _integrand(coeffs: Sequence[float], d: int):
 
     coeffs holds at least three coefficients; g is evaluated as kernel
     evaluates it, zero terms left out, so the samples are kernel's bits.
+    Where g has degree 4 at most, the closure carries its G7/K15 panel, the
+    kernel written out at each node, which integrate samples it through.
     """
-    return _integrand_maker(tuple(map(bool, coeffs)))(d - 1, *coeffs)
+    p, (make, panel) = d - 1, _integrand_maker(tuple(map(bool, coeffs)))
+    f = make(p, *coeffs)
+    if panel:
+        f.panel = panel(min(p, 2))(p, *coeffs)
+    return f
 
 
 @functools.cache
 def _integrand_maker(nonzero: tuple[bool, ...]):
-    """make(p, *coeffs): q -> q^p / g(q^2), g written out in kernel's order for
-    coefficients that are nonzero where nonzero is True.  The source holds no
-    coefficient, so kernels with one pattern share one maker."""
+    """(make, panel) for coefficients that are nonzero where nonzero is True.
+    make(p, *coeffs) is q -> q^p / g(q^2), g written out in kernel's order.
+    For g of degree 4 at most, panel(min(p, 2))(p, *coeffs) is quadrature's
+    G7/K15 panel with those statements written out at its 15 nodes, compiled
+    on first use, so it makes no Python call per sample.  Its numerator is
+    1.0 for p = 0 and q for p = 1, the bits of q^p: x ** 0 is 1.0 and x ** 1
+    is x for every float, while q ** 2 is not always q * q.  Of higher
+    degree, where the written-out panel would cost more to compile than it
+    saves, panel is None.  The source holds no coefficient, so kernels with
+    one pattern share one maker."""
     last = max((m for m, c in enumerate(nonzero) if c and m > 2), default=2)
     g = "c0 + u * (c1 + u * c2)" if nonzero[2] else (
         "c0 + u * c1" if last > 2 else "c0 + q * q * c1") if nonzero[1] else "c0"
@@ -225,10 +238,16 @@ def _integrand_maker(nonzero: tuple[bool, ...]):
         for m in range(5, last + 1):
             body += [f"w = {power}"] + [f"g = g + c{m} * w"] * nonzero[m]
             power = "w * u"
-    body.append(f"return q ** p / ({g})")
-    exec(f"def make(p, {', '.join(f'c{m}' for m in range(len(nonzero)))}):\n    def f(q):\n"
-         + "".join(f"        {line}\n" for line in body) + "    return f\n", namespace := {})
-    return namespace["make"]
+    names = ", ".join(f"c{m}" for m in range(len(nonzero)))
+    exec(f"def make(p, {names}):\n    def f(q):\n"
+         + "".join(f"        {line}\n" for line in body)
+         + f"        return q ** p / ({g})\n    return f\n", namespace := {})
+
+    @functools.cache
+    def panel(kind):
+        top = ("1.0", "q", "q ** p")[kind]
+        return _compile_panel(lambda x, y: [f"q = {x}", *body, f"{y} = {top} / ({g})"], f"p, {names}")
+    return namespace["make"], panel if last <= 4 else None
 
 
 def solid_angle(d: int) -> float:
@@ -270,20 +289,26 @@ def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
     return [-c // g for c in r]
 
 
-def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> bool:
+def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> list[float] | None:
     """Raise UnstableKernelError unless sum c_m u^m > 0 for all u in [lo^2, hi^2];
-    return whether the Sturm path decided it.
+    return None where Descartes' rule decided it, and _dip's ladder over
+    [lo, hi] (perhaps []) where the kernel has a negative coefficient.
 
     Exact for the float coefficients and edges.  With no negative coefficient
     (Descartes' rule) the sum does not decrease for u >= 0 and is checked at
-    lo^2, and it returns False: such a kernel has no minimum inside the shell.
-    Otherwise, over the integers (a float is one over a power of two), the
-    edges are signed and a Sturm chain counts the roots between them; a
-    kernel that passes there has a negative coefficient, and True tells
-    _shell_integral to look for its dip (_dip).
+    lo^2: such a kernel has no minimum inside the shell.  Otherwise _dip
+    looks for the least minimum u_m, and where _certified proves the kernel
+    positive from its Taylor form about it, that decides.  Everything else
+    (degree above 4, no minimum found, a certificate that fails) goes over
+    the integers (a float is one over a power of two): the edges are signed
+    and a Sturm chain counts the roots between them.  Only that path raises,
+    so the certificate decides sooner what the chain would decide.
     """
     if min(coeffs) >= 0.0 and (coeffs[0] > 0.0 or (lo > 0.0 and any(coeffs))):
-        return False
+        return None
+    ladder = _dip(coeffs, lo, hi)
+    if ladder and _certified(coeffs, lo, hi, ladder[0] * ladder[0]):
+        return ladder
     top = max((m for m, c in enumerate(coeffs) if c), default=0)
     ratios = [c.as_integer_ratio() for c in coeffs[:top + 1]]
     den = max(d for _, d in ratios)
@@ -301,6 +326,43 @@ def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> bool:
         changes.append(sum(x != y for x, y in zip(signs, signs[1:])))
     if changes[0] != changes[1]:
         raise UnstableKernelError(f"kernel is non-positive for {lo!r} < q < {hi!r}")
+    return ladder
+
+
+def _certified(coeffs: Sequence[float], lo: float, hi: float, r: float) -> bool:
+    """Whether g(u) = sum coeffs[m] u^m > 0 for all u in [lo^2, hi^2] follows,
+    exactly, from g's Taylor form about the float r > 0, g of degree 4 at most:
+    g(r + x) = b0 + b1 x + x^2 Q(x), with b0 + b1 x > 0 at both edges (so on
+    the shell) and Q >= 0 on it.  Q is quadratic at most: Q >= 0 at both
+    edges, and 4 q0 q2 >= q1^2 where Q is convex with its vertex inside.
+
+    In integers: with den the coefficients' common denominator and r = nr/sr,
+    den sr^n g(u) = H(sr u), H(v) = sum den c_m sr^(n-m) v^m, and the Taylor
+    shift (synthetic division) gives the B_k of H(nr + y), y = sr (u - r).
+    """
+    top = max((m for m, c in enumerate(coeffs) if c), default=0)
+    if top > 4:
+        return False
+    ratios = [c.as_integer_ratio() for c in coeffs[:top + 1]]
+    den = max(d for _, d in ratios)
+    nr, sr = r.as_integer_ratio()
+    b = [n * (den // d) * sr ** (top - m) for m, (n, d) in enumerate(ratios)]
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            b[j] += nr * b[j + 1]
+    b0, b1, q0, q1, q2 = b + [0] * (4 - top)
+    ends = []
+    for q in (lo, hi):
+        # the edge y = Y / S, S > 0
+        n, s = q.as_integer_ratio()
+        Y, S = sr * n * n - nr * s * s, s * s
+        if b0 * S + b1 * Y <= 0 or q0 * S * S + q1 * Y * S + q2 * Y * Y < 0:
+            return False
+        ends.append((Y, S))
+    (Ya, Sa), (Yc, Sc) = ends
+    # the vertex -q1 / (2 q2) of a convex Q, strictly between the edges
+    if q2 > 0 and 2 * q2 * Ya < -q1 * Sa and -q1 * Sc < 2 * q2 * Yc:
+        return 4 * q0 * q2 >= q1 * q1
     return True
 
 
@@ -310,9 +372,12 @@ def _dip(coeffs: Sequence[float], a: float, c: float) -> list[float]:
     is none or a step is not finite.  It never raises.
 
     g is taken on 17 points geometric over [a^2, c^2]; where the least is not
-    at an edge, safeguarded Newton on g' (a step that leaves the bracket
-    bisects it instead; 100 steps at most) finds the minimum u_m within the
-    two neighbouring grid cells to about 1e-9 relative.  w = sqrt(2 g(u_m) /
+    at an edge and g' < 0 < g' at its neighbours, safeguarded Newton on g' (a
+    step that leaves the bracket bisects it instead; 100 steps at most) finds
+    the minimum u_m within those two grid cells to about 1e-9 relative.
+    Where g' does not change sign there (on a wide shell a neighbour can lie
+    past a local maximum of g), the two cells are sampled once more the same
+    way, and bracketed again.  w = sqrt(2 g(u_m) /
     g''(u_m)) is the dip's half-width in u, and the rungs u_m -+ (w/2) 2^k,
     k = 0, 1, ..., grade the panels toward the dip by the octaves' ratio 2
     while they stay inside the shell, separate as floats and lie no farther
@@ -321,23 +386,26 @@ def _dip(coeffs: Sequence[float], a: float, c: float) -> list[float]:
     decides every value and error estimate.
     """
     try:
-        ua, uc = a * a, c * c
-        ratio, top = (uc / ua) ** 0.0625, coeffs[::-1]
-        grid, values, u = [], [], ua
-        for _ in range(17):
-            g = 0.0
-            for cm in top:
-                g = g * u + cm
-            grid.append(u)
-            values.append(g)
-            u *= ratio
-        j = values.index(min(values))
-        if not (0 < j < 16 and math.isfinite(sum(values))):
-            return []
+        top = coeffs[::-1]
         slope = [m * cm for m, cm in enumerate(coeffs)][1:]
         curve = [m * cm for m, cm in enumerate(slope)][1:]
-        lo, u, hi = grid[j - 1:j + 2]
-        if not _horner(slope, lo) < 0.0 < _horner(slope, hi):
+        lo, hi = a * a, c * c
+        for _ in range(2):      # the shell, then the two cells around its least sample
+            ratio, grid, values, u = (hi / lo) ** 0.0625, [], [], lo
+            for _ in range(17):
+                g = 0.0
+                for cm in top:
+                    g = g * u + cm
+                grid.append(u)
+                values.append(g)
+                u *= ratio
+            j = values.index(min(values))
+            if not (0 < j < 16 and math.isfinite(sum(values))):
+                return []
+            lo, u, hi = grid[j - 1:j + 2]
+            if _horner(slope, lo) < 0.0 < _horner(slope, hi):
+                break
+        else:
             return []
         for _ in range(100):
             s = _horner(slope, u)
@@ -376,16 +444,19 @@ def _dip(coeffs: Sequence[float], a: float, c: float) -> list[float]:
 
 def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResult:
     """The prefactor times the integral of _integrand(coeffs) over the shell
-    times scale, for (coeffs, scale, factors, steps) = form(), once the kernel
-    is positive on the shell.  The prefactor is negative; factors is it as
-    plates._scaled takes it, and steps the sizes of its plain float form's
-    steps in their order, the last the prefactor's size.
+    times scale, for (coeffs, scale, factors, steps) = form(checked), once the
+    kernel's coefficients checked are shown positive on the shell.  The
+    prefactor is negative; factors is it as plates._scaled takes it, and
+    steps the sizes of its plain float form's steps in their order, the last
+    the prefactor's size.  A form that maps nothing returns checked itself
+    and scale 1.
 
     integrate starts from the octave points 2a, 4a, ... below the mapped
-    shell's top c, and, where the Sturm path decided positivity (a negative
-    coefficient, so g may dip inside the shell), from _dip's ladder around
-    the least minimum u_m as well: u_m and u_m -+ (w/2) 2^k, the dip's
-    half-width w = sqrt(2 g(u_m) / g''(u_m)).  Over the 2466 admitted dip
+    shell's top c, and, where a coefficient is negative (so g may dip inside
+    the shell), from _dip's ladder around the least minimum u_m as well: u_m
+    and u_m -+ (w/2) 2^k, the dip's half-width w = sqrt(2 g(u_m) /
+    g''(u_m)).  The positivity check found that ladder for checked over the
+    unmapped shell; only a mapped kernel looks again.  Over the 2466 admitted dip
     shells of perfbench's peaked_shells pool at seed 5, the evaluations are
 
         octaves alone                              1633425   1.00
@@ -397,8 +468,13 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
 
     and every value moved by less than the sum of both error estimates.
 
+    A plain integrand (_plain_fits) of degree 4 at most is sampled by its
+    panel, the kernel written out at each node (_integrand); every other
+    integrand by integrate's panel, a call per sample.  The two give the
+    same bits.
+
     The value and error estimate are -steps[-1] times the integral's where
-    the integrand is plain (_plain_fits) and each step is a normal float.
+    the integrand is plain and each step is a normal float.
     Elsewhere _scaled takes the product of factors, the integral and 2^k,
     the samples being _wide's, 2^-k times the integrand, where it is not
     plain (k = 0 where it is).  A step that overflows or divides by an
@@ -406,9 +482,10 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     beyond the float range, raises ValueError naming that range.
     """
     lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
-    sturm = _check_positive_on(params.coefficients, lo, hi)
+    checked = params.coefficients
+    ladder = _check_positive_on(checked, lo, hi)
     try:
-        coeffs, scale, factors, steps = form()
+        coeffs, scale, factors, steps = form(checked)
         a, c = lo * scale, hi * scale
         # starting panels [a, 2a], [2a, 4a], ..., [2^n a, c]: no panel spans a
         # ratio above 2, so a near-critical feature at the lower edge is seen;
@@ -417,8 +494,12 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
         while 0.0 < x < c:
             points.append(x)
             x *= 2.0
-        # and the same rule around a dip of g inside the shell
-        ladder = _dip(coeffs, a, c) if sturm else []
+        # and the same rule around a dip of g inside the shell: a form that
+        # maps nothing (the checked coefficients, scale 1) keeps the check's
+        if ladder is None:
+            ladder = []
+        elif coeffs is not checked:
+            ladder = _dip(coeffs, a, c)
         if ladder:
             points = sorted({*points, *ladder})
         f, k = _integrand(coeffs, shell.dim), 0
@@ -500,10 +581,10 @@ def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResu
     (relative tolerance 1e-10) once the kernel is shown exactly to be
     positive across the shell; the result is then strictly negative.
     """
-    def form():
+    def form(coeffs):
         T2, k_d, factors = _prefactor(shell)
         half = 0.5 * T2
-        return params.coefficients, 1.0, factors, (T2, k_d, half, half * k_d)
+        return coeffs, 1.0, factors, (T2, k_d, half, half * k_d)
     return _shell_integral(params, shell, form)
 
 
@@ -525,12 +606,12 @@ def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> Quadratu
     with casimir_energy_density as a change-of-variables identity.
     Requires t > 0 (the substitution collapses at criticality) and K > 0.
     """
-    t, K, *rest = params.coefficients
-    for name, v in (("t", t), ("K", K)):
-        if v <= 0.0:
+    for name in ("t", "K"):
+        if getattr(params, name) <= 0.0:
             raise ValueError(f"substitution q = sqrt(t/K) x is undefined for {name} <= 0")
 
-    def form():
+    def form(coeffs):
+        t, K, *rest = coeffs
         # coefficients of x^(2m) in g(sqrt(t/K) x)/t: c_m t^(m-1) / K^m, from 1, 1
         reduced = [1.0, 1.0] + [_reduced(c, t, K, m) for m, c in enumerate(rest, start=2)]
         scale = math.sqrt(K / t)

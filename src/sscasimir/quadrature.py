@@ -18,6 +18,13 @@ the panel count P, and the exact path is taken about once per run.  Each
 panel skips its absolute-sum pass where no sample is negative.  A sample
 that is not finite raises ValueError naming its node as soon as its panel
 is done.
+
+The unrolled panel's source is written once (_compile_panel) and compiled
+for each way of taking a sample: integrate's panel calls the integrand at
+each node, and gaussian writes a kernel's statements out at the 15 nodes, so
+its shell panels make no Python call per sample (QUADPACK's 7/15-point
+panel, with its samples inline).  Both run the same float operations in the
+same order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -111,8 +118,49 @@ def _centre(lo: float, hi: float) -> tuple[float, float]:
     return 0.5 * hi + 0.5 * lo, 0.5 * hi - 0.5 * lo
 
 
-def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """One G7/K15 pass over [lo, hi]: (K15 value, error estimate).
+# The panel's fixed statements before its samples a1, b1, ..., a7, b7, fc
+# (each pair at mid -+ half * _Xk) and after them.
+_PANEL_CENTRE = """\
+mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+if mid - mid or half - half:    # nan: the sum or the difference overflowed
+    mid, half = _centre(lo, hi)
+"""
+_PANEL_SUMS = """\
+s2 = a2 + b2
+s4 = a4 + b4
+s6 = a6 + b6
+kronrod = (0.0 + _K1 * (a1 + b1) + _K2 * s2 + _K3 * (a3 + b3) + _K4 * s4
+           + _K5 * (a5 + b5) + _K6 * s6 + _K7 * (a7 + b7) + _K8 * fc)
+gauss = 0.0 + _G2 * s2 + _G4 * s4 + _G6 * s6 + _G8 * fc
+value = kronrod * half
+if (a1 >= 0.0 and b1 >= 0.0 and a2 >= 0.0 and b2 >= 0.0 and a3 >= 0.0 and b3 >= 0.0
+        and a4 >= 0.0 and b4 >= 0.0 and a5 >= 0.0 and b5 >= 0.0 and a6 >= 0.0
+        and b6 >= 0.0 and a7 >= 0.0 and b7 >= 0.0 and fc >= 0.0):
+    # no sample is negative or nan: the absolute sum is the Kronrod sum
+    # term by term, and a -0.0 term is lost in a sum started at 0.0
+    resabs = value
+else:
+    resabs = (0.0 + _K1 * (abs(a1) + abs(b1)) + _K2 * (abs(a2) + abs(b2))
+              + _K3 * (abs(a3) + abs(b3)) + _K4 * (abs(a4) + abs(b4))
+              + _K5 * (abs(a5) + abs(b5)) + _K6 * (abs(a6) + abs(b6))
+              + _K7 * (abs(a7) + abs(b7)) + _K8 * abs(fc)) * half
+err = abs(kronrod - gauss) * half
+if err < _FLOOR * resabs:
+    err = _FLOOR * resabs
+if value - value or err - err:      # nan: one of them is not finite
+    # the skipped Gauss terms are nan where a pair sum is not finite
+    gauss += 0.0 * (a1 + b1) + 0.0 * (a3 + b3) + 0.0 * (a5 + b5) + 0.0 * (a7 + b7)
+    _raise_non_finite((a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, fc),
+                      lo, hi, mid, half, value, max(abs(kronrod - gauss) * half, _FLOOR * resabs))
+return value, err
+"""
+
+
+def _compile_panel(sample: Callable[[str, str], list[str]], names: str = ""):
+    """make(names), which returns panel(f, lo, hi): one G7/K15 pass over
+    [lo, hi], (K15 value, error estimate), its samples written out by
+    sample(x, y), the statements that set the name y to the integrand at the
+    float expression x.  They may read f and make's parameters.
 
     Unrolled: the pairs are sampled outside-in, plus node first, and the
     centre node last, and each sum is rounded left to right from 0.0 in that
@@ -121,58 +169,17 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     sign is lost in |K15 - G7|.  Where no sample is negative (or nan), the
     absolute sum is the Kronrod sum, so it is not formed.
     """
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    if mid - mid or half - half:    # nan: the sum or the difference overflowed
-        mid, half = _centre(lo, hi)
-    dx = half * _X1
-    a1 = f(mid + dx)
-    b1 = f(mid - dx)
-    dx = half * _X2
-    a2 = f(mid + dx)
-    b2 = f(mid - dx)
-    dx = half * _X3
-    a3 = f(mid + dx)
-    b3 = f(mid - dx)
-    dx = half * _X4
-    a4 = f(mid + dx)
-    b4 = f(mid - dx)
-    dx = half * _X5
-    a5 = f(mid + dx)
-    b5 = f(mid - dx)
-    dx = half * _X6
-    a6 = f(mid + dx)
-    b6 = f(mid - dx)
-    dx = half * _X7
-    a7 = f(mid + dx)
-    b7 = f(mid - dx)
-    fc = f(mid)
-    s2 = a2 + b2
-    s4 = a4 + b4
-    s6 = a6 + b6
-    kronrod = (0.0 + _K1 * (a1 + b1) + _K2 * s2 + _K3 * (a3 + b3) + _K4 * s4
-               + _K5 * (a5 + b5) + _K6 * s6 + _K7 * (a7 + b7) + _K8 * fc)
-    gauss = 0.0 + _G2 * s2 + _G4 * s4 + _G6 * s6 + _G8 * fc
-    value = kronrod * half
-    if (a1 >= 0.0 and b1 >= 0.0 and a2 >= 0.0 and b2 >= 0.0 and a3 >= 0.0 and b3 >= 0.0
-            and a4 >= 0.0 and b4 >= 0.0 and a5 >= 0.0 and b5 >= 0.0 and a6 >= 0.0
-            and b6 >= 0.0 and a7 >= 0.0 and b7 >= 0.0 and fc >= 0.0):
-        # no sample is negative or nan: the absolute sum is the Kronrod sum
-        # term by term, and a -0.0 term is lost in a sum started at 0.0
-        resabs = value
-    else:
-        resabs = (0.0 + _K1 * (abs(a1) + abs(b1)) + _K2 * (abs(a2) + abs(b2))
-                  + _K3 * (abs(a3) + abs(b3)) + _K4 * (abs(a4) + abs(b4))
-                  + _K5 * (abs(a5) + abs(b5)) + _K6 * (abs(a6) + abs(b6))
-                  + _K7 * (abs(a7) + abs(b7)) + _K8 * abs(fc)) * half
-    err = abs(kronrod - gauss) * half
-    if err < _FLOOR * resabs:
-        err = _FLOOR * resabs
-    if value - value or err - err:      # nan: one of them is not finite
-        # the skipped Gauss terms are nan where a pair sum is not finite
-        gauss += 0.0 * (a1 + b1) + 0.0 * (a3 + b3) + 0.0 * (a5 + b5) + 0.0 * (a7 + b7)
-        _raise_non_finite((a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, fc),
-                          lo, hi, mid, half, value, max(abs(kronrod - gauss) * half, _FLOOR * resabs))
-    return value, err
+    lines = _PANEL_CENTRE.splitlines()
+    for k in range(1, 8):
+        lines += [f"dx = half * _X{k}", *sample("mid + dx", f"a{k}"), *sample("mid - dx", f"b{k}")]
+    lines += [*sample("mid", "fc"), *_PANEL_SUMS.splitlines()]
+    exec(f"def make({names}):\n    def panel(f, lo, hi):\n"
+         + "".join(f"        {line}\n" for line in lines) + "    return panel\n", globals(), namespace := {})
+    return namespace["make"]
+
+
+# the panel of a callable integrand f: a Python call per sample
+_panel = _compile_panel(lambda x, y: [f"{y} = f({x})"])()
 
 
 def _raise_non_finite(samples: tuple[float, ...], lo: float, hi: float, mid: float,
@@ -234,6 +241,10 @@ def integrate(
     evaluation budget runs out first, and ValueError naming the node as soon
     as a sample is not finite (or the panel, if its value or error estimate
     is beyond the float range).
+
+    An f that carries a panel, f.panel(f, a, b), is sampled through it in
+    place of a call per node: gaussian's shell integrands, whose kernel is
+    written out at each node, give the same bits both ways.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
@@ -248,9 +259,10 @@ def integrate(
     # heap entries (-error, panel index, lo, hi, value): the index is unique,
     # so entries never compare past it
     heap = []
+    panel = getattr(f, "panel", _panel)
     v_run = v_mass = e_run = 0.0
     for index, (a, b) in enumerate(zip(edges, edges[1:])):
-        value, err = _panel(f, a, b)
+        value, err = panel(f, a, b)
         heap.append((-err, index, a, b, value))
         v_run += value
         v_mass += abs(value)
@@ -278,8 +290,8 @@ def integrate(
             # interval at floating resolution; cannot refine further
             heap.append(entry)
             raise QuadratureConvergenceError(*_totals(heap), evaluations)
-        lv, le = _panel(f, plo, mid)
-        rv, re = _panel(f, mid, phi)
+        lv, le = panel(f, plo, mid)
+        rv, re = panel(f, mid, phi)
         v_run += (lv + rv) - old
         v_mass += abs(lv) + abs(rv) + abs(old)
         e_run += (le + re) + neg_err

@@ -11,11 +11,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from sscasimir import gaussian
 from sscasimir.gaussian import (
+    _certified,
     _check_positive_on,
     _dip,
     _integrand,
     _integrand_maker,
+    _negated_remainder,
     BelowCriticalityError,
     LGParams,
     ShellSpec,
@@ -250,6 +253,58 @@ class TestPositivity:
         with pytest.raises(UnstableKernelError, match="non-positive for 1.0 < q < 2.0"):
             _check_positive_on(peaked(2.1, 0.42, -eps), 1.0, 2.0)
 
+    @given(coeffs=st.lists(st.just(0.0) | _DECADES.flatmap(lambda v: st.sampled_from([v, -v])),
+                           min_size=1, max_size=5),
+           lo=_DECADES, log_b=st.floats(0.0, 4.0), at=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_certificate_is_sound_over_the_float_range(self, coeffs, lo, log_b, at):
+        # about any float r of the shell, a kernel the certificate accepts is
+        # positive by sympy's exact root count, and the check as a whole agrees
+        hi = lo * 10.0 ** log_b
+        assume(0.0 < lo * lo and hi * hi < math.inf)
+        r = lo * lo * (hi / lo) ** (2.0 * at)
+        exact = positive_on_shell(coeffs, lo, hi)
+        assert exact or not _certified(coeffs, lo, hi, r)
+        assert decides_positive(coeffs, lo, hi) == exact
+
+    @given(u0=st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e), c=st.floats(0.05, 0.26),
+           log_eps=st.floats(-16.0, -2.0), sign=st.sampled_from([1.0, -1.0]),
+           size=st.floats(-50.0, 50.0).map(lambda e: 10.0 ** e), lo=st.floats(0.3, 1.0),
+           width=st.floats(0.5, 2.0))
+    @example(u0=1.0, c=0.2, log_eps=-16.0, sign=1.0, size=1.0, lo=0.5, width=1.0)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_certificate_on_near_double_roots(self, u0, c, log_eps, sign, size, lo, width):
+        # size P(u / u0), P(x) = (x - 1)^2 (x + c)^2 -+ eps, a near-double root
+        # at u = u0: the certificate about _dip's minimum accepts only positive
+        # kernels, and the check agrees with sympy whichever path decides
+        coeffs = tuple(size * (pm / u0 ** m) for m, pm in enumerate(peaked(1.0, c, sign * 10.0 ** log_eps)))
+        root = math.sqrt(u0)
+        lo, hi = lo * root, (lo + width) * root
+        exact = positive_on_shell(coeffs, lo, hi)
+        ladder = _dip(coeffs, lo, hi)
+        if ladder:
+            assert exact or not _certified(coeffs, lo, hi, ladder[0] * ladder[0])
+        assert decides_positive(coeffs, lo, hi) == exact
+
+    def test_certificate_decides_a_peaked_kernel(self, monkeypatch):
+        # the certificate about the minimum u = 2.1 decides, so no Sturm chain
+        # is built
+        calls = []
+        monkeypatch.setattr(gaussian, "_negated_remainder",
+                            lambda a, b: calls.append(1) or _negated_remainder(a, b))
+        assert _check_positive_on(peaked(2.1, 0.42, 1e-6), 1.0, 2.0)[0] == pytest.approx(math.sqrt(2.1))
+        assert calls == []
+
+    def test_degree_five_goes_to_the_sturm_chain(self, monkeypatch):
+        # (u - 1)^2 (u - 2)^2 (u + 0.1) + 1e-3: two dips, degree 5
+        coeffs = dip_kernel([1.0, 1.0, 2.0, 2.0, -0.1], 1e-3)
+        assert not _certified(coeffs, 0.5, 2.0, 1.0)
+        calls = []
+        monkeypatch.setattr(gaussian, "_negated_remainder",
+                            lambda a, b: calls.append(1) or _negated_remainder(a, b))
+        _check_positive_on(coeffs, 0.5, 2.0)
+        assert calls
+
     def test_coefficients_are_one_tuple_in_u(self):
         params = LGParams(t=1, K=2, L=3, higher=(-4, 5))
         assert params.coefficients == (1.0, 2.0, 3.0, -4.0, 5.0)
@@ -436,6 +491,14 @@ class TestShellEnergyFloatRange:
         shell = ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0)
         with pytest.raises(ValueError, match="^value beyond the float range: "):
             dimensionless_energy_density(LGParams(t=1e-300, K=1e300), shell)
+
+    def test_positivity_is_decided_before_the_float_range(self):
+        # g is negative at the edge q = 0.5, and the mapped shell, sqrt(K/t)
+        # = 1e155 times this one, leaves the floats: the kernel's error comes
+        # first, as the positivity check runs before the form maps anything
+        shell = ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0)
+        with pytest.raises(UnstableKernelError, match="^kernel is non-positive at the shell edge q = 0.5$"):
+            dimensionless_energy_density(LGParams(t=1e-300, K=1e10, higher=(-1e20,)), shell)
 
     @pytest.mark.parametrize("energy", [casimir_energy_density, dimensionless_energy_density])
     @pytest.mark.parametrize("d, lam", [(250, 10.0), (300, 30.0)])
@@ -745,6 +808,18 @@ class TestDipOracle:
         points = _dip(coeffs, a, lam)
         assert all(a < q < lam for q in points)
         assert len(set(points)) == len(points)
+
+    @pytest.mark.parametrize("b, evaluations", [(1e4, 525), (1e6, 645)])
+    def test_finder_on_a_wide_shell(self, b, evaluations):
+        # the least of the 17 samples is u = 1, the minimum, but its left
+        # neighbour 10^-0.5 lies past g's local maximum u = 0.4, where g' > 0;
+        # the two cells sampled once more bracket it.  Octaves alone took 750
+        # and 930 evaluations
+        coeffs = peaked(1.0, 0.2, 1e-4)
+        assert _dip(coeffs, 1.0 / math.sqrt(b), math.sqrt(b))[0] == pytest.approx(1.0, rel=1e-9)
+        out = casimir_energy_density(LGParams(*coeffs[:3], coeffs[3:]),
+                                     ShellSpec(dim=3, cutoff=math.sqrt(b), shell_factor=b, temperature=1.0))
+        assert out.evaluations == evaluations
 
     @pytest.mark.parametrize("scale", [1e300, 1e-303])
     def test_finder_at_the_float_range_ends(self, scale):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from sscasimir import quadrature
-from sscasimir.gaussian import LGParams, kernel
+from sscasimir.gaussian import LGParams, _integrand, kernel
 from sscasimir.quadrature import QuadratureConvergenceError, QuadratureResult, integrate
 
 
@@ -486,3 +487,37 @@ class TestUnrolledPanel:
         assert str(excinfo.value) == ("panel [-1.0, 1.0] is beyond the float range: "
                                       "value inf, error estimate nan")
 
+
+
+# ---------------------------------------------------------------------------
+# The shell panels, with the kernel written out at each node, against
+# _oracle_panel over the integrand's closure: every pattern of nonzero
+# coefficients of a kernel of degree 4 at most (those of both perfbench
+# pools among them), d = 1 to 4.
+
+_NONZERO = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+
+
+class TestShellPanel:
+    @pytest.mark.parametrize("nonzero", [p for n in (3, 4, 5)
+                                         for p in itertools.product((False, True), repeat=n)],
+                             ids=lambda p: "".join("x" if c else "0" for c in p))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(1, 4), lo=st.floats(0.0, 4.0) | st.floats(0.0, 1e200),
+           width=st.floats(1e-6, 4.0) | st.floats(1e-6, 1e200))
+    def test_same_bits_as_the_rolled_loop(self, nonzero, data, d, lo, width):
+        # coefficients of moderate size, or of any size, where samples
+        # overflow, underflow or divide by a zero g: a panel that raises
+        # raises as the callable's panel does, over the same closure
+        size = data.draw(st.sampled_from([st.floats(-4.0, 4.0).filter(bool), _NONZERO]))
+        coeffs = [data.draw(size) if c else 0.0 for c in nonzero]
+        hi = lo + width
+        f = _integrand(coeffs, d)
+        try:
+            got = f.panel(f, lo, hi)
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as expected:
+                quadrature._panel(f, lo, hi)
+            assert (type(expected.value), str(expected.value)) == (type(exc), str(exc))
+        else:
+            assert [v.hex() for v in got] == [v.hex() for v in _oracle_panel(f, lo, hi)]
