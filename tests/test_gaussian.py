@@ -286,24 +286,18 @@ class TestPositivity:
             assert exact or not _certified(coeffs, lo, hi, ladder[0] * ladder[0])
         assert decides_positive(coeffs, lo, hi) == exact
 
-    def test_certificate_decides_a_peaked_kernel(self, monkeypatch):
-        # the certificate about the minimum u = 2.1 decides, so no Sturm chain
-        # is built
+    @pytest.mark.parametrize("coeffs, lo, hi, chain", [
+        # the certificate about the minimum u = 2.1 decides
+        (peaked(2.1, 0.42, 1e-6), 1.0, 2.0, False),
+        # (u - 1)^2 (u - 2)^2 (u + 0.1) + 1e-3, two dips: degree 5 goes to the chain
+        (dip_kernel([1.0, 1.0, 2.0, 2.0, -0.1], 1e-3), 0.5, 2.0, True),
+    ], ids=["peaked", "degree-five"])
+    def test_whether_a_sturm_chain_is_built(self, monkeypatch, coeffs, lo, hi, chain):
         calls = []
         monkeypatch.setattr(gaussian, "_negated_remainder",
                             lambda a, b: calls.append(1) or _negated_remainder(a, b))
-        assert _check_positive_on(peaked(2.1, 0.42, 1e-6), 1.0, 2.0)[0] == pytest.approx(math.sqrt(2.1))
-        assert calls == []
-
-    def test_degree_five_goes_to_the_sturm_chain(self, monkeypatch):
-        # (u - 1)^2 (u - 2)^2 (u + 0.1) + 1e-3: two dips, degree 5
-        coeffs = dip_kernel([1.0, 1.0, 2.0, 2.0, -0.1], 1e-3)
-        assert not _certified(coeffs, 0.5, 2.0, 1.0)
-        calls = []
-        monkeypatch.setattr(gaussian, "_negated_remainder",
-                            lambda a, b: calls.append(1) or _negated_remainder(a, b))
-        _check_positive_on(coeffs, 0.5, 2.0)
-        assert calls
+        assert _check_positive_on(coeffs, lo, hi)
+        assert bool(calls) == chain
 
     def test_coefficients_are_one_tuple_in_u(self):
         params = LGParams(t=1, K=2, L=3, higher=(-4, 5))
