@@ -201,13 +201,12 @@ def _integrand(coeffs: Sequence[float], d: int):
 
     coeffs holds at least three coefficients; g is evaluated as kernel
     evaluates it, zero terms left out, so the samples are kernel's bits.
-    Where g has degree 4 at most, the closure carries its G7/K15 panel, the
-    kernel written out at each node, which integrate samples it through.
+    The closure carries its G7/K15 panel, the kernel written out at each
+    node, which integrate samples it through.
     """
     p, (make, panel) = d - 1, _integrand_maker(tuple(map(bool, coeffs)))
     f = make(p, *coeffs)
-    if panel:
-        f.panel = panel(min(p, 2))(p, *coeffs)
+    f._gk_panel = panel(min(p, 2))(p, *coeffs)
     return f
 
 
@@ -215,14 +214,12 @@ def _integrand(coeffs: Sequence[float], d: int):
 def _integrand_maker(nonzero: tuple[bool, ...]):
     """(make, panel) for coefficients that are nonzero where nonzero is True.
     make(p, *coeffs) is q -> q^p / g(q^2), g written out in kernel's order.
-    For g of degree 4 at most, panel(min(p, 2))(p, *coeffs) is quadrature's
-    G7/K15 panel with those statements written out at its 15 nodes, compiled
-    on first use, so it makes no Python call per sample.  Its numerator is
-    1.0 for p = 0 and q for p = 1, the bits of q^p: x ** 0 is 1.0 and x ** 1
-    is x for every float, while q ** 2 is not always q * q.  Of higher
-    degree, where the written-out panel would cost more to compile than it
-    saves, panel is None.  The source holds no coefficient, so kernels with
-    one pattern share one maker."""
+    panel(min(p, 2))(p, *coeffs) is quadrature's G7/K15 panel with those
+    statements written out at its 15 nodes, compiled on first use, so it
+    makes no Python call per sample.  Its numerator is 1.0 for p = 0 and q
+    for p = 1, the bits of q^p: x ** 0 is 1.0 and x ** 1 is x for every
+    float, while q ** 2 is not always q * q.  The source holds no
+    coefficient, so kernels with one pattern share one maker."""
     last = max((m for m, c in enumerate(nonzero) if c and m > 2), default=2)
     g = "c0 + u * (c1 + u * c2)" if nonzero[2] else (
         "c0 + u * c1" if last > 2 else "c0 + q * q * c1") if nonzero[1] else "c0"
@@ -247,7 +244,7 @@ def _integrand_maker(nonzero: tuple[bool, ...]):
     def panel(kind):
         top = ("1.0", "q", "q ** p")[kind]
         return _compile_panel(lambda x, y: [f"q = {x}", *body, f"{y} = {top} / ({g})"], f"p, {names}")
-    return namespace["make"], panel if last <= 4 else None
+    return namespace["make"], panel
 
 
 def solid_angle(d: int) -> float:
@@ -444,19 +441,18 @@ def _dip(coeffs: Sequence[float], a: float, c: float) -> list[float]:
 
 def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResult:
     """The prefactor times the integral of _integrand(coeffs) over the shell
-    times scale, for (coeffs, scale, factors, steps) = form(checked), once the
-    kernel's coefficients checked are shown positive on the shell.  The
-    prefactor is negative; factors is it as plates._scaled takes it, and
-    steps the sizes of its plain float form's steps in their order, the last
-    the prefactor's size.  A form that maps nothing returns checked itself
-    and scale 1.
+    times scale, for (coeffs, scale, factors, steps) = form(), once the kernel
+    is positive on the shell.  The prefactor is negative; factors is it as
+    plates._scaled takes it, and steps the sizes of its plain float form's
+    steps in their order, the last the prefactor's size.
 
     integrate starts from the octave points 2a, 4a, ... below the mapped
     shell's top c, and, where a coefficient is negative (so g may dip inside
     the shell), from _dip's ladder around the least minimum u_m as well: u_m
     and u_m -+ (w/2) 2^k, the dip's half-width w = sqrt(2 g(u_m) /
-    g''(u_m)).  The positivity check found that ladder for checked over the
-    unmapped shell; only a mapped kernel looks again.  Over the 2466 admitted dip
+    g''(u_m)).  The positivity check found that ladder over the unmapped
+    shell; _dip is a function of the kernel and the shell alone, so only a
+    form that maps them looks again.  Over the 2466 admitted dip
     shells of perfbench's peaked_shells pool at seed 5, the evaluations are
 
         octaves alone                              1633425   1.00
@@ -468,10 +464,9 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
 
     and every value moved by less than the sum of both error estimates.
 
-    A plain integrand (_plain_fits) of degree 4 at most is sampled by its
-    panel, the kernel written out at each node (_integrand); every other
-    integrand by integrate's panel, a call per sample.  The two give the
-    same bits.
+    A plain integrand (_plain_fits) is sampled by its panel, the kernel
+    written out at each node (_integrand); _wide's by integrate's panel, a
+    call per sample.  The two give the same bits.
 
     The value and error estimate are -steps[-1] times the integral's where
     the integrand is plain and each step is a normal float.
@@ -485,7 +480,7 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     checked = params.coefficients
     ladder = _check_positive_on(checked, lo, hi)
     try:
-        coeffs, scale, factors, steps = form(checked)
+        coeffs, scale, factors, steps = form()
         a, c = lo * scale, hi * scale
         # starting panels [a, 2a], [2a, 4a], ..., [2^n a, c]: no panel spans a
         # ratio above 2, so a near-critical feature at the lower edge is seen;
@@ -498,7 +493,7 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
         # maps nothing (the checked coefficients, scale 1) keeps the check's
         if ladder is None:
             ladder = []
-        elif coeffs is not checked:
+        elif not (scale == 1.0 and tuple(coeffs) == checked):
             ladder = _dip(coeffs, a, c)
         if ladder:
             points = sorted({*points, *ladder})
@@ -581,10 +576,10 @@ def casimir_energy_density(params: LGParams, shell: ShellSpec) -> QuadratureResu
     (relative tolerance 1e-10) once the kernel is shown exactly to be
     positive across the shell; the result is then strictly negative.
     """
-    def form(coeffs):
+    def form():
         T2, k_d, factors = _prefactor(shell)
         half = 0.5 * T2
-        return coeffs, 1.0, factors, (T2, k_d, half, half * k_d)
+        return params.coefficients, 1.0, factors, (T2, k_d, half, half * k_d)
     return _shell_integral(params, shell, form)
 
 
@@ -606,12 +601,12 @@ def dimensionless_energy_density(params: LGParams, shell: ShellSpec) -> Quadratu
     with casimir_energy_density as a change-of-variables identity.
     Requires t > 0 (the substitution collapses at criticality) and K > 0.
     """
-    for name in ("t", "K"):
-        if getattr(params, name) <= 0.0:
+    t, K, *rest = params.coefficients
+    for name, v in (("t", t), ("K", K)):
+        if v <= 0.0:
             raise ValueError(f"substitution q = sqrt(t/K) x is undefined for {name} <= 0")
 
-    def form(coeffs):
-        t, K, *rest = coeffs
+    def form():
         # coefficients of x^(2m) in g(sqrt(t/K) x)/t: c_m t^(m-1) / K^m, from 1, 1
         reduced = [1.0, 1.0] + [_reduced(c, t, K, m) for m, c in enumerate(rest, start=2)]
         scale = math.sqrt(K / t)

@@ -242,9 +242,9 @@ def integrate(
     as a sample is not finite (or the panel, if its value or error estimate
     is beyond the float range).
 
-    An f that carries a panel, f.panel(f, a, b), is sampled through it in
-    place of a call per node: gaussian's shell integrands, whose kernel is
-    written out at each node, give the same bits both ways.
+    gaussian's shell integrands carry their own panel, f._gk_panel(f, a, b),
+    with the kernel written out at each node, and are sampled through it in
+    place of a call per node; the two give the same bits.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
@@ -259,7 +259,7 @@ def integrate(
     # heap entries (-error, panel index, lo, hi, value): the index is unique,
     # so entries never compare past it
     heap = []
-    panel = getattr(f, "panel", _panel)
+    panel = getattr(f, "_gk_panel", _panel)
     v_run = v_mass = e_run = 0.0
     for index, (a, b) in enumerate(zip(edges, edges[1:])):
         value, err = panel(f, a, b)

@@ -493,14 +493,17 @@ class TestUnrolledPanel:
 # The shell panels, with the kernel written out at each node, against
 # _oracle_panel over the integrand's closure: every pattern of nonzero
 # coefficients of a kernel of degree 4 at most (those of both perfbench
-# pools among them), d = 1 to 4.
+# pools among them), and some of higher degree, whose powers and terms are
+# statements of their own, d = 1 to 4.
 
 _NONZERO = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 
 
 class TestShellPanel:
     @pytest.mark.parametrize("nonzero", [p for n in (3, 4, 5)
-                                         for p in itertools.product((False, True), repeat=n)],
+                                         for p in itertools.product((False, True), repeat=n)]
+                             + [(True,) * 6, (True, False, False, False, False, True),
+                                (True, True, False, True, False, True, False, True)],
                              ids=lambda p: "".join("x" if c else "0" for c in p))
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data(), d=st.integers(1, 4), lo=st.floats(0.0, 4.0) | st.floats(0.0, 1e200),
@@ -514,7 +517,7 @@ class TestShellPanel:
         hi = lo + width
         f = _integrand(coeffs, d)
         try:
-            got = f.panel(f, lo, hi)
+            got = f._gk_panel(f, lo, hi)
         except (ValueError, ArithmeticError) as exc:
             with pytest.raises(type(exc)) as expected:
                 quadrature._panel(f, lo, hi)
