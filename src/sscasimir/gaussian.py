@@ -197,17 +197,17 @@ def kernel(params: LGParams, q: float) -> float:
 
 
 def _integrand(coeffs: Sequence[float], d: int):
-    """The shell integrand q -> q^(d-1) / g(q^2) of g = sum coeffs[m] u^m.
+    """(f, panel): the shell integrand f(q) = q^(d-1) / g(q^2) of g = sum
+    coeffs[m] u^m, and panel(), f's G7/K15 panel with the kernel written out
+    at each node, for integrate to sample f through as f._gk_panel.
 
     coeffs holds at least three coefficients; g is evaluated as kernel
-    evaluates it, zero terms left out, so the samples are kernel's bits.
-    The closure carries its G7/K15 panel, the kernel written out at each
-    node, which integrate samples it through.
+    evaluates it, zero terms left out, so the samples are kernel's bits.  A
+    pattern's panel is compiled at its first panel() call, so a caller that
+    samples f some other way compiles nothing.
     """
     p, (make, panel) = d - 1, _integrand_maker(tuple(map(bool, coeffs)))
-    f = make(p, *coeffs)
-    f._gk_panel = panel(min(p, 2))(p, *coeffs)
-    return f
+    return make(p, *coeffs), lambda: panel(min(p, 2))(p, *coeffs)
 
 
 @functools.cache
@@ -286,77 +286,68 @@ def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
     return [-c // g for c in r]
 
 
-def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float) -> list[float] | None:
-    """Raise UnstableKernelError unless sum c_m u^m > 0 for all u in [lo^2, hi^2];
-    return None where Descartes' rule decided it, and _dip's ladder over
-    [lo, hi] (perhaps []) where the kernel has a negative coefficient.
+def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float, r: float) -> None:
+    """Raise UnstableKernelError unless g(u) = sum c_m u^m > 0 for all u in
+    [lo^2, hi^2], exactly for the float coefficients and edges.
 
-    Exact for the float coefficients and edges.  With no negative coefficient
-    (Descartes' rule) the sum does not decrease for u >= 0 and is checked at
-    lo^2: such a kernel has no minimum inside the shell.  Otherwise _dip
-    looks for the least minimum u_m, and where _certified proves the kernel
-    positive from its Taylor form about it, that decides.  Everything else
-    (degree above 4, no minimum found, a certificate that fails) goes over
-    the integers (a float is one over a power of two): the edges are signed
-    and a Sturm chain counts the roots between them.  Only that path raises,
-    so the certificate decides sooner what the chain would decide.
+    With no negative coefficient (Descartes' rule) g does not decrease for
+    u >= 0 and is checked at lo^2: such a kernel has no minimum inside the
+    shell.  Otherwise g is taken over the integers once (a float is one over
+    a power of two), as its Taylor form about the float r >= 0 (_dip's least
+    minimum, or 0): with den the coefficients' common denominator, n the
+    degree and r = nr/sr, den sr^n g(u) = H(sr u), H(v) = sum den c_m
+    sr^(n-m) v^m, and the Taylor shift (synthetic division, skipped at
+    r = 0) gives the b_k of H(nr + y), y = sr u - nr; each edge is y = Y/S,
+    S > 0.  Where _certified proves that form positive, that decides.
+    Everything else goes to a Sturm chain of the same b, which signs the
+    same edges and counts the roots between them.  Only the chain raises,
+    and both are exact, so the certificate decides sooner what the chain
+    would decide.  Above degree 4, where no certificate applies, r is taken
+    as 0: the shifted integers are longer and cost the chain about a
+    quarter more.
     """
     if min(coeffs) >= 0.0 and (coeffs[0] > 0.0 or (lo > 0.0 and any(coeffs))):
-        return None
-    ladder = _dip(coeffs, lo, hi)
-    if ladder and _certified(coeffs, lo, hi, ladder[0] * ladder[0]):
-        return ladder
+        return
     top = max((m for m, c in enumerate(coeffs) if c), default=0)
     ratios = [c.as_integer_ratio() for c in coeffs[:top + 1]]
     den = max(d for _, d in ratios)
-    chain = [[n * (den // d) for n, d in ratios]]
-    chain.append([m * c for m, c in enumerate(chain[0])][1:])
-    while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
-        chain.append(r)
+    nr, sr = r.as_integer_ratio() if top <= 4 else (0, 1)
+    b = [n * (den // d) * sr ** (top - m) for m, (n, d) in enumerate(ratios)]
+    for i in range(top if nr else 0):
+        for j in range(top - 1, i - 1, -1):
+            b[j] += nr * b[j + 1]
+    edges = [(sr * n * n - nr * s * s, s * s) for n, s in (lo.as_integer_ratio(), hi.as_integer_ratio())]
+    if _certified(b, edges):
+        return
+    chain = [b, [m * c for m, c in enumerate(b)][1:]]
+    while len(chain[-1]) > 1 and (rem := _negated_remainder(chain[-2], chain[-1])):
+        chain.append(rem)
     changes = []
-    for q in (lo, hi):
-        n, s = q.as_integer_ratio()
-        signs = [_sign_at(p, n * n, s * s) for p in chain]
+    for q, (Y, S) in zip((lo, hi), edges):
+        signs = [_sign_at(p, Y, S) for p in chain]
         if signs[0] <= 0:
             raise UnstableKernelError(f"kernel is non-positive at the shell edge q = {q!r}")
         signs = [x for x in signs if x]
         changes.append(sum(x != y for x, y in zip(signs, signs[1:])))
     if changes[0] != changes[1]:
         raise UnstableKernelError(f"kernel is non-positive for {lo!r} < q < {hi!r}")
-    return ladder
 
 
-def _certified(coeffs: Sequence[float], lo: float, hi: float, r: float) -> bool:
-    """Whether g(u) = sum coeffs[m] u^m > 0 for all u in [lo^2, hi^2] follows,
-    exactly, from g's Taylor form about the float r > 0, g of degree 4 at most:
-    g(r + x) = b0 + b1 x + x^2 Q(x), with b0 + b1 x > 0 at both edges (so on
-    the shell) and Q >= 0 on it.  Q is quadratic at most: Q >= 0 at both
-    edges, and 4 q0 q2 >= q1^2 where Q is convex with its vertex inside.
-
-    In integers: with den the coefficients' common denominator and r = nr/sr,
-    den sr^n g(u) = H(sr u), H(v) = sum den c_m sr^(n-m) v^m, and the Taylor
-    shift (synthetic division) gives the B_k of H(nr + y), y = sr (u - r).
+def _certified(b: list[int], edges: list[tuple[int, int]]) -> bool:
+    """Whether B(y) = sum b_k y^k, of degree 4 at most, is positive between
+    the two edges y = Y/S (S > 0): the Taylor form _check_positive_on builds.
+    B(y) = b0 + b1 y + y^2 Q(y), with b0 + b1 y > 0 at both edges (so between
+    them) and Q >= 0 there.  Q is quadratic at most: Q >= 0 at both edges,
+    and 4 q0 q2 >= q1^2 where Q is convex with its vertex inside.  About the
+    minimum, b1 is near 0 and b0 > 0 carries the proof.
     """
-    top = max((m for m, c in enumerate(coeffs) if c), default=0)
-    if top > 4:
+    if len(b) > 5:
         return False
-    ratios = [c.as_integer_ratio() for c in coeffs[:top + 1]]
-    den = max(d for _, d in ratios)
-    nr, sr = r.as_integer_ratio()
-    b = [n * (den // d) * sr ** (top - m) for m, (n, d) in enumerate(ratios)]
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            b[j] += nr * b[j + 1]
-    b0, b1, q0, q1, q2 = b + [0] * (4 - top)
-    ends = []
-    for q in (lo, hi):
-        # the edge y = Y / S, S > 0
-        n, s = q.as_integer_ratio()
-        Y, S = sr * n * n - nr * s * s, s * s
+    b0, b1, q0, q1, q2 = b + [0] * (5 - len(b))
+    for Y, S in edges:
         if b0 * S + b1 * Y <= 0 or q0 * S * S + q1 * Y * S + q2 * Y * Y < 0:
             return False
-        ends.append((Y, S))
-    (Ya, Sa), (Yc, Sc) = ends
+    (Ya, Sa), (Yc, Sc) = edges
     # the vertex -q1 / (2 q2) of a convex Q, strictly between the edges
     if q2 > 0 and 2 * q2 * Ya < -q1 * Sa and -q1 * Sc < 2 * q2 * Yc:
         return 4 * q0 * q2 >= q1 * q1
@@ -440,7 +431,7 @@ def _dip(coeffs: Sequence[float], a: float, c: float) -> list[float]:
 
 
 def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResult:
-    """The prefactor times the integral of _integrand(coeffs) over the shell
+    """The prefactor times the integral of _integrand's f over the shell
     times scale, for (coeffs, scale, factors, steps) = form(), once the kernel
     is positive on the shell.  The prefactor is negative; factors is it as
     plates._scaled takes it, and steps the sizes of its plain float form's
@@ -450,10 +441,12 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     shell's top c, and, where a coefficient is negative (so g may dip inside
     the shell), from _dip's ladder around the least minimum u_m as well: u_m
     and u_m -+ (w/2) 2^k, the dip's half-width w = sqrt(2 g(u_m) /
-    g''(u_m)).  The positivity check found that ladder over the unmapped
-    shell; _dip is a function of the kernel and the shell alone, so only a
-    form that maps them looks again.  Over the 2466 admitted dip
-    shells of perfbench's peaked_shells pool at seed 5, the evaluations are
+    g''(u_m)).  _dip runs once, over the unmapped shell, and its minimum is
+    the point the positivity check expands g about; a form that maps the
+    shell by scale maps the ladder with it, the minimum first, and drops a
+    point that rounds onto or outside the mapped shell.  Over the 2466
+    admitted dip shells of perfbench's peaked_shells pool at seed 5, the
+    evaluations are
 
         octaves alone                              1633425   1.00
         octaves and the minimum                    1378440   0.84
@@ -465,8 +458,9 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     and every value moved by less than the sum of both error estimates.
 
     A plain integrand (_plain_fits) is sampled by its panel, the kernel
-    written out at each node (_integrand); _wide's by integrate's panel, a
-    call per sample.  The two give the same bits.
+    written out at each node (_integrand), compiled only once the shell is
+    known to be plain; _wide's by integrate's panel, a call per sample.  The
+    two give the same bits.
 
     The value and error estimate are -steps[-1] times the integral's where
     the integrand is plain and each step is a normal float.
@@ -478,7 +472,8 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     """
     lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
     checked = params.coefficients
-    ladder = _check_positive_on(checked, lo, hi)
+    ladder = _dip(checked, lo, hi) if min(checked) < 0.0 else []
+    _check_positive_on(checked, lo, hi, ladder[0] * ladder[0] if ladder else 0.0)
     try:
         coeffs, scale, factors, steps = form()
         a, c = lo * scale, hi * scale
@@ -489,17 +484,17 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
         while 0.0 < x < c:
             points.append(x)
             x *= 2.0
-        # and the same rule around a dip of g inside the shell: a form that
-        # maps nothing (the checked coefficients, scale 1) keeps the check's
-        if ladder is None:
-            ladder = []
-        elif not (scale == 1.0 and tuple(coeffs) == checked):
-            ladder = _dip(coeffs, a, c)
+        # and the same rule around a dip of g inside the shell, the ladder
+        # mapped with the shell
         if ladder:
+            if scale != 1.0:
+                ladder = [q for q in (rung * scale for rung in ladder) if a < q < c]
             points = sorted({*points, *ladder})
-        f, k = _integrand(coeffs, shell.dim), 0
+        f, panel = _integrand(coeffs, shell.dim)
         plain = _plain_fits(f, coeffs, shell.dim - 1, a, c, ladder[:1])
-        if not plain:
+        if plain:
+            f._gk_panel, k = panel(), 0
+        else:
             f, k = _wide(coeffs, shell.dim, [a, *points, c])
         raw = integrate(f, a, c, rel_tol=1e-10, breakpoints=points)
         if plain and _TINY <= min(steps) and max(steps) < math.inf:

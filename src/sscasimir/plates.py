@@ -163,17 +163,18 @@ def _scaled(c: float, *powers: tuple[float, int]) -> float:
     raise ValueError(f"value beyond the float range: {c!r}{factors}")
 
 
-def _pair_energy(gap: float, scale: float = 1440.0) -> float:
-    """Pair energy -pi^2/(scale gap^3) of a positive gap, inf allowed.
+def _pair_energy(gap: float, scale: float = 1440.0, k: int = 3) -> float:
+    """Pair energy -pi^2/(scale gap^k) of a positive gap, inf allowed.
 
-    The default scale gives the Dirichlet energy, and 720 exactly twice it.
-    A gap beyond the float range (inf) gives the limit -0.0; one that
-    underflows to 0 has an energy beyond the range (ValueError).
+    The default scale gives the Dirichlet energy, and 720 exactly twice it;
+    scale 240 and k = 4 give the electromagnetic force.  A gap beyond the
+    float range (inf) gives the limit -0.0; one that underflows to 0 has an
+    energy beyond the range (ValueError).
     """
-    cube = _power(gap, 3)
-    if _TINY <= cube and -math.inf < (energy := -_PI_SQ / (scale * cube)) < 0.0:
+    power = _power(gap, k)
+    if _TINY <= power and -math.inf < (energy := -_PI_SQ / (scale * power)) < 0.0:
         return energy
-    return _scaled(-_PI_SQ, (scale, -1), (gap, -3))
+    return _scaled(-_PI_SQ, (scale, -1), (gap, -k))
 
 
 def _contraction_pair_energy(a: float, x: float, k: int) -> float:
@@ -207,10 +208,7 @@ def force_per_area(a: float) -> float:
     Equals -d/da of the electromagnetic pair energy; negative = attraction.
     """
     _check_spacing(a)
-    fourth = _power(a, 4)
-    if _TINY <= fourth and -math.inf < (force := -_PI_SQ / (240.0 * fourth)) < 0.0:
-        return force
-    return _scaled(-_PI_SQ, (240.0, -1), (a, -4))
+    return _pair_energy(a, 240.0, 4)
 
 
 def inflation_stack_energy(a: float, x: float) -> EnergyDensity:

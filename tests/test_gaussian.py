@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -34,7 +35,7 @@ from sscasimir.gaussian import (
     radial_measure,
     solid_angle,
 )
-from sscasimir.quadrature import integrate
+from sscasimir.quadrature import _compile_panel, integrate
 
 # closed-form oracle for the d=3, t=K=1, L=0 shell: antiderivative q - arctan q
 D3_EXACT = -(0.5 - math.pi / 4.0 + math.atan(0.5)) / (4.0 * math.pi ** 2)
@@ -42,6 +43,13 @@ D3_EXACT = -(0.5 - math.pi / 4.0 + math.atan(0.5)) / (4.0 * math.pi ** 2)
 D1_EXACT = -1.0 / (4.0 * math.pi)
 # 10^e for e over [-300, 300]
 _DECADES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+def integrand(coeffs, d):
+    """_integrand's f carrying its written-out panel, as a plain shell samples it."""
+    f, panel = _integrand(coeffs, d)
+    f._gk_panel = panel()
+    return f
 
 
 class TestLGParamsAt:
@@ -97,7 +105,7 @@ class TestKernel:
     def test_zero_terms_where_u_overflows(self, params, g):
         # q^2 overflows; a zero coefficient times it was nan
         assert kernel(params, 1e300) == g
-        assert _integrand(params.coefficients, 1)(1e300) == 1.0 / g
+        assert integrand(params.coefficients, 1)(1e300) == 1.0 / g
 
     def test_validation(self):
         with pytest.raises(BelowCriticalityError):
@@ -136,7 +144,7 @@ class TestIntegrand:
             st.lists(st.floats(-1e3, 1e3), min_size=n_higher, max_size=n_higher))
         params = LGParams(t=t, K=K, L=L, higher=tuple(higher))
         expected = quotient(lambda x: x ** (d - 1) / kernel(params, x), q)
-        assert quotient(_integrand(params.coefficients, d), q) == expected
+        assert quotient(integrand(params.coefficients, d), q) == expected
 
     @pytest.mark.parametrize("higher, q, g", [((), 2.0 ** 171, 2.0 ** 684),
                                               ((1.0,), 2.0 ** 128, 2.0 ** 768)])
@@ -145,7 +153,7 @@ class TestIntegrand:
         # would add 0 * inf = nan to a finite g
         params = LGParams(t=1.0, K=1.0, L=1.0, higher=higher)
         assert kernel(params, q) == g
-        assert _integrand(params.coefficients, 1)(q) == 1.0 / g
+        assert integrand(params.coefficients, 1)(q) == 1.0 / g
 
     @pytest.mark.parametrize("higher", [(1e-3,) * 3000, (0.0,) * 2999 + (1e-3,), (1e-3, 0.0) * 1500],
                              ids=["dense", "one-term", "alternating"])
@@ -154,12 +162,25 @@ class TestIntegrand:
         # expression, 3000 terms or 3000 factors u are too deep for the compiler
         params = LGParams(t=1.0, K=1.0, L=1.0, higher=higher)
         for q in (0.5, 1.0, 1.0001):
-            assert _integrand(params.coefficients, 3)(q) == q ** 2 / kernel(params, q)
+            assert integrand(params.coefficients, 3)(q) == q ** 2 / kernel(params, q)
+
+    def test_panel_compiled_only_on_the_plain_path(self, monkeypatch):
+        # on [1e-200, 1] u = q^2 underflows at the lower edge, so the shell
+        # is sampled through _wide: a fresh pattern compiles no written-out
+        # panel there, and one on a plain shell
+        compiled = []
+        monkeypatch.setattr(gaussian, "_compile_panel", lambda *args: compiled.append(1) or _compile_panel(*args))
+        _integrand_maker.cache_clear()
+        params = LGParams(t=1.0, K=1.0, higher=(0.0, 0.0, 0.0, 0.0, 0.0, 1e-3))
+        casimir_energy_density(params, ShellSpec(dim=3, cutoff=1.0, shell_factor=1e200, temperature=1.0))
+        assert compiled == []
+        casimir_energy_density(params, ShellSpec(dim=3, cutoff=1.0, shell_factor=2.0, temperature=1.0))
+        assert compiled == [1]
 
     def test_one_maker_per_pattern_of_nonzero_coefficients(self):
-        _integrand((1.0, 2.0, 0.0, 3.0), 2)
+        integrand((1.0, 2.0, 0.0, 3.0), 2)
         hits = _integrand_maker.cache_info().hits
-        f = _integrand((5.0, 1e-3, 0.0, 7.0), 4)
+        f = integrand((5.0, 1e-3, 0.0, 7.0), 4)
         assert _integrand_maker.cache_info().hits == hits + 1
         assert f(2.0) == 2.0 ** 3 / (5.0 + 4.0 * 1e-3 + 7.0 * (4.0 * 4.0 * 4.0))
 
@@ -172,13 +193,37 @@ def positive_on_shell(coeffs, lo, hi):
     return not poly.is_zero and poly.eval(a) > 0 and poly.eval(b) > 0 and poly.count_roots(a, b) == 0
 
 
+def dip_minimum(coeffs, lo, hi):
+    """The r that _shell_integral expands g about: _dip's least minimum u_m
+    where a coefficient is negative and _dip finds one, else 0."""
+    ladder = _dip(coeffs, lo, hi) if min(coeffs) < 0.0 else []
+    return ladder[0] * ladder[0] if ladder else 0.0
+
+
+def check_positive(coeffs, lo, hi):
+    """_check_positive_on as _shell_integral calls it."""
+    _check_positive_on(tuple(coeffs), lo, hi, dip_minimum(coeffs, lo, hi))
+
+
 def decides_positive(coeffs, lo, hi):
     try:
-        _check_positive_on(tuple(coeffs), lo, hi)
+        check_positive(coeffs, lo, hi)
     except UnstableKernelError as exc:
         assert "non-positive" in str(exc)
         return False
     return True
+
+
+def chain_free(coeffs, lo, hi, r):
+    """Whether _check_positive_on about r returns without taking a Sturm
+    remainder: Descartes' rule or the certificate decided.  (Of degree 1 or
+    less, which takes none, the certificate is exact: it decides all.)"""
+    with mock.patch.object(gaussian, "_negated_remainder", wraps=_negated_remainder) as remainder:
+        try:
+            _check_positive_on(tuple(coeffs), lo, hi, r)
+        except UnstableKernelError:
+            return False
+    return not remainder.called
 
 
 def dip_kernel(roots, eps):
@@ -220,15 +265,15 @@ class TestPositivity:
     def test_touching_double_root_rejected(self):
         # (u - 2)^2 touches 0 at q = sqrt(2), inside 1 <= q <= sqrt(3)
         with pytest.raises(UnstableKernelError, match=r"non-positive for 1.0 < q < 1.73"):
-            _check_positive_on((4.0, -4.0, 1.0), 1.0, math.sqrt(3.0))
-        _check_positive_on((4.0, -4.0, 1.0), 1.5, 2.0)
+            check_positive((4.0, -4.0, 1.0), 1.0, math.sqrt(3.0))
+        check_positive((4.0, -4.0, 1.0), 1.5, 2.0)
 
     def test_zero_at_shell_edge_rejected(self):
         # 4 - u^3 / 16 vanishes at u = 4, the edge q = 2; u^2 - 1 at the edge q = 1
         with pytest.raises(UnstableKernelError, match="non-positive at the shell edge q = 2.0"):
-            _check_positive_on((4.0, 0.0, 0.0, -1.0 / 16.0), 1.0, 2.0)
+            check_positive((4.0, 0.0, 0.0, -1.0 / 16.0), 1.0, 2.0)
         with pytest.raises(UnstableKernelError, match="non-positive at the shell edge q = 1.0"):
-            _check_positive_on((-1.0, 0.0, 1.0), 1.0, 2.0)
+            check_positive((-1.0, 0.0, 1.0), 1.0, 2.0)
 
     @pytest.mark.parametrize("coeffs, lo, hi", [
         ((-3.0, 2.0, 2.0, 0.0, 0.0, 2.0), 1.0, 1.5),    # chain degree drops by 2, lead < 0
@@ -236,22 +281,22 @@ class TestPositivity:
     ])
     def test_degenerate_sturm_chains(self, coeffs, lo, hi):
         assert positive_on_shell(coeffs, lo, hi)
-        _check_positive_on(coeffs, lo, hi)
+        check_positive(coeffs, lo, hi)
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(UnstableKernelError, match="non-positive at the shell edge q = 1.0"):
-            _check_positive_on(LGParams(t=0.0, K=0.0, L=0.0).coefficients, 1.0, 2.0)
+            check_positive(LGParams(t=0.0, K=0.0, L=0.0).coefficients, 1.0, 2.0)
 
     def test_critical_point_needs_a_positive_lower_edge(self):
-        _check_positive_on(LGParams(t=0.0, K=1.0).coefficients, 5e-324, 1.0)
+        check_positive(LGParams(t=0.0, K=1.0).coefficients, 5e-324, 1.0)
         with pytest.raises(UnstableKernelError, match="shell edge q = 0.0"):
-            _check_positive_on(LGParams(t=0.0, K=1.0).coefficients, 0.0, 1.0)
+            check_positive(LGParams(t=0.0, K=1.0).coefficients, 0.0, 1.0)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
     def test_peaked_family(self, eps):
-        _check_positive_on(peaked(2.1, 0.42, eps), 1.0, 2.0)
+        check_positive(peaked(2.1, 0.42, eps), 1.0, 2.0)
         with pytest.raises(UnstableKernelError, match="non-positive for 1.0 < q < 2.0"):
-            _check_positive_on(peaked(2.1, 0.42, -eps), 1.0, 2.0)
+            check_positive(peaked(2.1, 0.42, -eps), 1.0, 2.0)
 
     @given(coeffs=st.lists(st.just(0.0) | _DECADES.flatmap(lambda v: st.sampled_from([v, -v])),
                            min_size=1, max_size=5),
@@ -264,7 +309,7 @@ class TestPositivity:
         assume(0.0 < lo * lo and hi * hi < math.inf)
         r = lo * lo * (hi / lo) ** (2.0 * at)
         exact = positive_on_shell(coeffs, lo, hi)
-        assert exact or not _certified(coeffs, lo, hi, r)
+        assert exact or not chain_free(coeffs, lo, hi, r)
         assert decides_positive(coeffs, lo, hi) == exact
 
     @given(u0=st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e), c=st.floats(0.05, 0.26),
@@ -281,9 +326,7 @@ class TestPositivity:
         root = math.sqrt(u0)
         lo, hi = lo * root, (lo + width) * root
         exact = positive_on_shell(coeffs, lo, hi)
-        ladder = _dip(coeffs, lo, hi)
-        if ladder:
-            assert exact or not _certified(coeffs, lo, hi, ladder[0] * ladder[0])
+        assert exact or not chain_free(coeffs, lo, hi, dip_minimum(coeffs, lo, hi))
         assert decides_positive(coeffs, lo, hi) == exact
 
     @pytest.mark.parametrize("coeffs, lo, hi, chain", [
@@ -291,13 +334,26 @@ class TestPositivity:
         (peaked(2.1, 0.42, 1e-6), 1.0, 2.0, False),
         # (u - 1)^2 (u - 2)^2 (u + 0.1) + 1e-3, two dips: degree 5 goes to the chain
         (dip_kernel([1.0, 1.0, 2.0, 2.0, -0.1], 1e-3), 0.5, 2.0, True),
-    ], ids=["peaked", "degree-five"])
-    def test_whether_a_sturm_chain_is_built(self, monkeypatch, coeffs, lo, hi, chain):
-        calls = []
+        # 1e-3 + (u - 2)^2 ((u - 3)^2 + delta) over 1.5 <= u <= 4, about the
+        # minimum near u = 2: Q = (y - 1)^2 + delta has its vertex inside,
+        # and the certificate's vertex test holds at delta = 0.1 ...
+        ((36.401, -60.4, 37.1, -10.0, 1.0), math.sqrt(1.5), 2.0, False),
+        # ... and fails at delta = -1e-4, where Q < 0 near u = 3 but g > 0
+        ((36.0006, -59.9996, 36.9999, -10.0, 1.0), math.sqrt(1.5), 2.0, True),
+    ], ids=["peaked", "degree-five", "convex-vertex", "negative-vertex"])
+    def test_whether_a_sturm_chain_is_built(self, coeffs, lo, hi, chain):
+        assert positive_on_shell(coeffs, lo, hi)
+        assert decides_positive(coeffs, lo, hi)
+        assert chain_free(coeffs, lo, hi, dip_minimum(coeffs, lo, hi)) != chain
+
+    def test_one_integer_form_for_the_certificate_and_the_chain(self, monkeypatch):
+        # the chain starts from the very list the certificate was given
+        forms, dividends = [], []
+        monkeypatch.setattr(gaussian, "_certified", lambda b, edges: forms.append(b) or _certified(b, edges))
         monkeypatch.setattr(gaussian, "_negated_remainder",
-                            lambda a, b: calls.append(1) or _negated_remainder(a, b))
-        assert _check_positive_on(coeffs, lo, hi)
-        assert bool(calls) == chain
+                            lambda a, b: dividends.append(a) or _negated_remainder(a, b))
+        check_positive((36.0006, -59.9996, 36.9999, -10.0, 1.0), math.sqrt(1.5), 2.0)
+        assert len(forms) == 1 and dividends[0] is forms[0]
 
     def test_coefficients_are_one_tuple_in_u(self):
         params = LGParams(t=1, K=2, L=3, higher=(-4, 5))
@@ -398,7 +454,7 @@ class TestCasimirEnergyDensity:
         # the energy density is T^2 d/dt of the shell's log-partition
         # density -(1/2) k_d integral q^(d-1) ln g(q) dq; finite differences
         # of that integral give an independent route to the same number
-        from sscasimir.quadrature import integrate
+        from sscasimir.quadrature import _compile_panel, integrate
 
         lo, hi = 0.5, 1.0
         L = 0.1
@@ -679,7 +735,7 @@ class TestNearCriticalOracle:
         # the same call, bit for bit, as integrate over the shell alone
         params, shell = LGParams(t=1e-6, K=1.0, L=0.5), ShellSpec(dim=3, cutoff=1.0, shell_factor=b, temperature=1.0)
         out = casimir_energy_density(params, shell)
-        raw = integrate(_integrand(params.coefficients, 3), 1.0 / b, 1.0, rel_tol=1e-10)
+        raw = integrate(integrand(params.coefficients, 3), 1.0 / b, 1.0, rel_tol=1e-10)
         pref = -0.5 * radial_measure(3)
         assert (out.value.hex(), out.evaluations) == ((pref * raw.value).hex(), raw.evaluations)
 
@@ -688,7 +744,7 @@ class TestNearCriticalOracle:
         # at least, and fewer than the one-panel run spends
         params, shell = LGParams(t=1e-10, K=1.0), ShellSpec(dim=1, cutoff=1.0, shell_factor=1e3, temperature=1.0)
         out = casimir_energy_density(params, shell)
-        one_panel = integrate(_integrand(params.coefficients, 1), 1e-3, 1.0, rel_tol=1e-10)
+        one_panel = integrate(integrand(params.coefficients, 1), 1e-3, 1.0, rel_tol=1e-10)
         assert 150 <= out.evaluations < one_panel.evaluations
 
 
@@ -765,7 +821,7 @@ class TestDipOracle:
         params, shell, _ = dip_shell(d, b, x, u0, c, ratio, log_eps)
         out = casimir_energy_density(params, shell)
         lo, hi = shell.cutoff / b, shell.cutoff
-        raw = integrate(_integrand(params.coefficients, d), lo, hi, rel_tol=1e-10,
+        raw = integrate(integrand(params.coefficients, d), lo, hi, rel_tol=1e-10,
                         breakpoints=octave_points(lo, hi))
         size = 0.5 * radial_measure(d)
         assert abs(out.value + size * raw.value) <= out.abs_error_estimate + size * raw.abs_error_estimate
@@ -774,7 +830,7 @@ class TestDipOracle:
         # the golden case gaussian-energy-peaked-higher: the minimum is u = 2
         params = LGParams(t=0.25016, K=1.75, L=2.0625, higher=(-3.5, 1.0))
         out = casimir_energy_density(params, ShellSpec(dim=3, cutoff=2.0, shell_factor=2.0, temperature=1.0))
-        octaves_only = integrate(_integrand(params.coefficients, 3), 1.0, 2.0, rel_tol=1e-10)
+        octaves_only = integrate(integrand(params.coefficients, 3), 1.0, 2.0, rel_tol=1e-10)
         assert (out.evaluations, octaves_only.evaluations) == (315, 705)
         assert abs(out.value - -1.9734955180621338) <= out.abs_error_estimate
 
@@ -787,7 +843,7 @@ class TestDipOracle:
         # from the octave points
         params = LGParams(t=t, K=K, L=L, higher=tuple(higher))
         out = casimir_energy_density(params, ShellSpec(dim=d, cutoff=lam, shell_factor=b, temperature=1.0))
-        raw = integrate(_integrand(params.coefficients, d), lam / b, lam, rel_tol=1e-10,
+        raw = integrate(integrand(params.coefficients, d), lam / b, lam, rel_tol=1e-10,
                         breakpoints=octave_points(lam / b, lam))
         assert (out.value.hex(), out.evaluations) == ((-0.5 * radial_measure(d) * raw.value).hex(),
                                                       raw.evaluations)
@@ -814,6 +870,30 @@ class TestDipOracle:
         out = casimir_energy_density(LGParams(*coeffs[:3], coeffs[3:]),
                                      ShellSpec(dim=3, cutoff=math.sqrt(b), shell_factor=b, temperature=1.0))
         assert out.evaluations == evaluations
+
+    def test_finder_gives_up_where_the_second_sampling_brackets_nothing(self):
+        # nearly flat: the least sample of the shell and then of its two
+        # cells sits where g' does not change sign across them
+        coeffs = (1.0000000000000013, -4.255283424180028e-14, 5.41440661047875e-13,
+                  -3.061898039715702e-12, 6.493245899377898e-12)
+        assert _dip(coeffs, 0.07827945926760778, 2.1946597080012977) == []
+
+    def test_finder_stops_bisecting_a_closed_bracket(self):
+        # Newton's steps leave the bracket until it closes to 2e-9 relative
+        coeffs = (1.0000000002217522, -2.0780971835370655e-10, 8.114327922102871e-11, -1.689810419494116e-11,
+                  1.979456395772104e-12, -1.2366665759459916e-13, 3.219200785226712e-15)
+        assert _dip(coeffs, 0.3034237133658801, 13.480682436549985) == [2.5319597473884587]
+
+    @pytest.mark.parametrize("energy", [casimir_energy_density, dimensionless_energy_density])
+    def test_one_dip_search_per_shell(self, monkeypatch, energy):
+        # the dimensionless form maps the ladder it integrates from, and
+        # does not search the reduced kernel again
+        calls = []
+        monkeypatch.setattr(gaussian, "_dip", lambda *args: calls.append(args) or _dip(*args))
+        params = LGParams(t=0.25016, K=1.75, L=2.0625, higher=(-3.5, 1.0))
+        out = energy(params, ShellSpec(dim=3, cutoff=2.0, shell_factor=2.0, temperature=1.0))
+        assert len(calls) == 1
+        assert abs(out.value - -1.9734955180621338) <= out.abs_error_estimate
 
     @pytest.mark.parametrize("scale", [1e300, 1e-303])
     def test_finder_at_the_float_range_ends(self, scale):
