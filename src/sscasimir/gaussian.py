@@ -302,16 +302,14 @@ def _check_positive_on(coeffs: Sequence[float], lo: float, hi: float, r: float) 
     Everything else goes to a Sturm chain of the same b, which signs the
     same edges and counts the roots between them.  Only the chain raises,
     and both are exact, so the certificate decides sooner what the chain
-    would decide.  Above degree 4, where no certificate applies, r is taken
-    as 0: the shifted integers are longer and cost the chain about a
-    quarter more.
+    would decide.
     """
     if min(coeffs) >= 0.0 and (coeffs[0] > 0.0 or (lo > 0.0 and any(coeffs))):
         return
     top = max((m for m, c in enumerate(coeffs) if c), default=0)
     ratios = [c.as_integer_ratio() for c in coeffs[:top + 1]]
     den = max(d for _, d in ratios)
-    nr, sr = r.as_integer_ratio() if top <= 4 else (0, 1)
+    nr, sr = r.as_integer_ratio()
     b = [n * (den // d) * sr ** (top - m) for m, (n, d) in enumerate(ratios)]
     for i in range(top if nr else 0):
         for j in range(top - 1, i - 1, -1):

@@ -454,7 +454,7 @@ class TestCasimirEnergyDensity:
         # the energy density is T^2 d/dt of the shell's log-partition
         # density -(1/2) k_d integral q^(d-1) ln g(q) dq; finite differences
         # of that integral give an independent route to the same number
-        from sscasimir.quadrature import _compile_panel, integrate
+        from sscasimir.quadrature import integrate
 
         lo, hi = 0.5, 1.0
         L = 0.1
