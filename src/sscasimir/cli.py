@@ -7,9 +7,12 @@ help text), its header, the parameters behind the header's leading fields,
 its computed fields, an optional cross-field check and an optional sweep.
 A sweep command is its point command with a grid: the same record with
 other parameters and a sweep, so the two share one header and compute.
-The argparse options, the config-file key check, validation, dispatch and
-rendering all read it; each command's argparse parser is built once per
-process, on its first use.
+The flag reader, the argparse options, the config-file key check,
+validation, dispatch and rendering all read it.  Flags are read straight from
+the table when argv holds only `--name value` pairs of a command's exact flag
+names; any other argv goes to argparse, the one source of help text and of
+usage-error messages.  argparse is imported, and a command's parser built,
+only on the first argv that needs it.
 Config files mirror the flags one-to-one (JSON object keyed by flag names);
 explicit flags override file values and unknown keys are rejected.
 
@@ -27,7 +30,6 @@ partial success, 1 for usage or I/O problems, 2 when every point failed.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import functools
@@ -160,6 +162,10 @@ _dimension = _checked(_integer, lambda n: n >= 1, ">= 1")
 _two_or_more = _checked(_integer, lambda n: n >= 2, ">= 2")
 
 
+# json's decoder recurses once per level of nesting
+_TOO_DEEP = "is JSON nested too deeply to read"
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -168,6 +174,8 @@ def _read_json(path):
         raise ValueError(f"cannot be read from {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"is not valid JSON in {path!r}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{_TOO_DEEP} in {path!r}") from None
 
 
 def _float_list(v):
@@ -176,6 +184,8 @@ def _float_list(v):
             v = json.loads(v)
         except json.JSONDecodeError:
             raise ValueError(f"must be a JSON array, got {v!r}") from None
+        except RecursionError:
+            raise ValueError(_TOO_DEEP) from None
     if not isinstance(v, list):
         raise ValueError(f"must be a JSON array, got {v!r}")
     return [_number(c) for c in v]
@@ -188,6 +198,8 @@ def _coeffs(v):
             v = json.loads(v)
         except json.JSONDecodeError:
             v = _read_json(v)
+        except RecursionError:
+            raise ValueError(_TOO_DEEP) from None
     coeffs = _float_list(v)
     if not coeffs:
         raise ValueError("must hold at least one coefficient")
@@ -339,20 +351,34 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+# per command, each flag's name and whether it is a switch, taking no value
+_FLAGS = {name: {**{param.name: param.parse is _boolean for param in command.params + _GLOBALS},
+                 "config": False}
+          for name, command in COMMANDS.items()}
+
+# argparse takes a dash-led number for a value only in the forms '-1' and
+# '-0.5'; the CLI also admits the exponent form, as in '--x -9.9e-05'
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+
+
+def _parser(**kwargs):
+    """An argparse parser whose errors raise UsageError."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    return _Parser(**kwargs)
 
 
 @functools.cache
-def _command_parser(name: str) -> _Parser:
+def _command_parser(name: str):
     # built once per process on first use: parse_args leaves the parser as it
     # is and fills a fresh namespace each call.  Every option keeps default
     # None so explicit flags can be told apart from config-file values
-    parser = _Parser(prog=f"sscasimir {name}")
-    # argparse takes a dash-led number for a value only in the forms '-1' and
-    # '-0.5'; this also admits the exponent form, as in '--x -9.9e-05'
-    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+    parser = _parser(prog=f"sscasimir {name}")
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     for param in COMMANDS[name].params + _GLOBALS:
         flag = dict(action="store_const", const=True) if param.parse is _boolean else {}
         metavar = getattr(param.parse, "metavar", param.name.upper().replace("-", "_"))
@@ -360,6 +386,30 @@ def _command_parser(name: str) -> _Parser:
                             metavar=metavar, **flag)
     parser.add_argument("--config", help="JSON config file mirroring the flags")
     return parser
+
+
+def _read_flags(name: str, args: list[str]) -> dict | None:
+    """The flags argparse would give for args, without argparse; None when
+    args hold anything but `--name value` pairs of the command's exact flag
+    names (a switch bare, the last of a repeated flag winning), so argparse
+    alone reads an abbreviation, `--name=value`, `-h`, `--`, a missing value
+    or a dash-led value that is no number, and alone words its help and
+    usage errors."""
+    switches = _FLAGS[name]
+    flags = dict.fromkeys(switches)
+    tokens = iter(args)
+    for token in tokens:
+        flag = token[2:]
+        if token[:2] != "--" or flag not in switches:
+            return None
+        if switches[flag]:
+            flags[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+            return None
+        flags[flag] = value
+    return flags
 
 
 def _parameters(name: str, params: tuple[Param, ...], raw: dict) -> dict:
@@ -387,11 +437,13 @@ def parse_config(argv: list[str]) -> RunConfig:
     name = argv[0]
     command = COMMANDS.get(name)
     if command is None:     # --help lists the commands; an unknown one is named
-        parser = _Parser(prog="sscasimir", description=__doc__.splitlines()[0])
+        parser = _parser(prog="sscasimir", description=__doc__.splitlines()[0])
         parser.add_argument("command", choices=COMMANDS)
         parser.parse_args(argv)
         raise UsageError(f"unknown command {name!r}")
-    flags = vars(_command_parser(name).parse_args(argv[1:]))
+    flags = _read_flags(name, argv[1:])
+    if flags is None:
+        flags = vars(_command_parser(name).parse_args(argv[1:]))
     path = flags.pop("config")
     raw = {}
     if path is not None:
@@ -496,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(config.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:     # ValueError: a NUL byte in the path
             print(f"error: cannot write {config.output!r}: {exc}", file=sys.stderr)
             return 1
     return 2 if results.all_failed() else 0

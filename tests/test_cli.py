@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -152,20 +153,24 @@ class TestParserCache:
     """Each command's parser is built once and reused; no call leaks into the next."""
 
     def test_one_parser_per_command(self, monkeypatch):
+        # argv of exact `--name value` pairs builds none; '--a=1' goes to argparse
         built = []
-        init = cli._Parser.__init__
+        init = argparse.ArgumentParser.__init__
 
         def counting(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         cli._command_parser.cache_clear()
         try:
             for a in ("1", "2", "3"):
                 parse_config(["plates-pair", "--a", a])
-            parse_config(["plates-stack", "--a", "1", "--x", "2", "--direction", "inflation"])
-            parse_config(["plates-pair", "--a", "4"])
+            assert built == []
+            for a in ("1", "2", "3"):
+                parse_config(["plates-pair", f"--a={a}"])
+            parse_config(["plates-stack", "--a", "1", "--x", "2", "--direction=inflation"])
+            parse_config(["plates-pair", "--a=4"])
         finally:
             cli._command_parser.cache_clear()
         assert built == ["sscasimir plates-pair", "sscasimir plates-stack"]
@@ -202,6 +207,81 @@ class TestParserCache:
                 parse_config(["gaussian-sweep", "--help"])
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and texts[0].startswith("usage: sscasimir gaussian-sweep")
+
+
+def _argparse_flags(name, args):
+    return vars(cli._command_parser(name).parse_args(args))
+
+
+@st.composite
+def _flag_tokens(draw):
+    """A command and argv tokens for it: exact names with values, bare names,
+    prefixes, `--name=value`, help, `--` and dash-led values that are no
+    number."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = sorted(cli._FLAGS[name])
+    exact = st.sampled_from(flags).map(lambda f: "--" + f)
+    values = st.sampled_from(("1", "2.5", "0", "1e-3", "-1", "-.5", "-0.5", "-9.9e-05", "-1E+5", "-1.",
+                              "", "a b", "em", "auto", "[1, 2]", "true", "dirichlet", "lambda", "kind"))
+    not_numbers = st.sampled_from(("-1e5x", "--1", "-", "-1 2", "-x", "-.", "--kind"))
+    pair = st.tuples(exact, values).map(list)
+    other = st.one_of(
+        exact,
+        st.tuples(exact, not_numbers | exact),
+        st.sampled_from(flags).flatmap(
+            lambda f: st.integers(0, len(f)).map(lambda k: "--" + f[:k])),
+        st.tuples(exact, values).map(lambda t: f"{t[0]}={t[1]}"),
+        st.sampled_from(("-h", "--help", "--", "---a")),
+        values | not_numbers,
+    ).map(lambda t: list(t) if isinstance(t, tuple) else [t])
+    # half the draws are all well-formed: a name, and its value unless a switch
+    switches = cli._FLAGS[name]
+    well_formed = st.tuples(st.sampled_from(flags), values).map(
+        lambda t: ["--" + t[0]] + ([] if switches[t[0]] else [t[1]]))
+    units = draw(st.lists(pair | other if draw(st.booleans()) else well_formed, max_size=6))
+    return name, [token for unit in units for token in unit]
+
+
+class TestFlagReader:
+    """The flag reader gives argparse's flags or leaves argv to argparse."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn=_flag_tokens())
+    def test_agrees_with_argparse(self, drawn):
+        name, args = drawn
+        flags = cli._read_flags(name, args)
+        if flags is not None:
+            assert flags == _argparse_flags(name, args)
+
+    @pytest.mark.parametrize("name, args", [
+        ("plates-pair", ["--a", ""]),
+        ("plates-pair", ["--a", "-9.9e-05", "--kind", "em", "--format", "csv"]),
+        ("plates-pair", ["--a", "1", "--a", "-.5"]),
+        ("plates-pair", ["--a", "a b", "--out", "-1E+5", "--config", "run.json"]),
+        ("plates-sweep", ["--log", "--x-min", "-1", "--log"]),
+        ("gaussian-sweep", ["--fit", "--var", "lambda", "--higher", "[-1, 2]"]),
+        ("lattice-check", []),
+    ])
+    def test_takes(self, name, args):
+        assert cli._read_flags(name, args) == _argparse_flags(name, args)
+
+    @pytest.mark.parametrize("name, args", [
+        ("plates-pair", ["--a", "1", "--nope", "3"]),      # unknown name
+        ("plates-pair", ["--a", "1", "--ki", "em"]),       # abbreviated name
+        ("plates-pair", ["--a=1"]),
+        ("plates-pair", ["-h"]),
+        ("plates-pair", ["--help"]),
+        ("plates-pair", ["--", "--a", "1"]),
+        ("plates-pair", ["--a"]),                          # missing trailing value
+        ("plates-pair", ["--a", "-"]),                     # dash-led values the regex rejects
+        ("plates-pair", ["--a", "--kind"]),
+        ("plates-pair", ["--a", "-1 2"]),
+        ("plates-pair", ["--a", "-1e5x"]),
+        ("plates-pair", ["1"]),                            # a value where a name belongs
+        ("plates-sweep", ["--log", "true"]),               # a value after a switch
+    ])
+    def test_defers(self, name, args):
+        assert cli._read_flags(name, args) is None
 
 
 class TestSweepSpec:
@@ -400,6 +480,36 @@ class TestMain:
     def test_unwritable_output_path(self, capsys):
         code = main(["plates-pair", "--a", "1", "--out", "/nonexistent-dir/x.json"])
         assert code == 1
+
+    def test_null_byte_in_output_path(self, tmp_path, capsys):
+        # open's ValueError escaped main as 'embedded null byte'
+        path = tmp_path / "f.json"
+        path.write_text('{"a": 1.0, "out": "x\\u0000y"}')
+        assert main(["plates-pair", "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: cannot write 'x\\x00y': embedded null byte\n")
+        assert main(["plates-pair", "--a", "1", "--out", "a\x00b"]) == 1
+        assert capsys.readouterr() == ("", "error: cannot write 'a\\x00b': embedded null byte\n")
+
+    @pytest.mark.parametrize("route", ["coeffs", "higher", "coeffs file", "config file"])
+    def test_deeply_nested_json(self, tmp_path, capsys, route):
+        # json's RecursionError escaped main; an inline value must not be
+        # read as a file path instead
+        deep = "[" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": 1, "kind": ' + deep if route == "config file" else deep)
+        argv, message = {
+            "coeffs": (["series-resum", "--coeffs", deep, "--x", "2"],
+                       "parameter 'coeffs' is JSON nested too deeply to read"),
+            "higher": (["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1",
+                        "--t", "1", "--K", "1", "--higher", deep],
+                       "parameter 'higher' is JSON nested too deeply to read"),
+            "coeffs file": (["series-resum", "--coeffs", str(path), "--x", "2"],
+                            f"parameter 'coeffs' is JSON nested too deeply to read in {str(path)!r}"),
+            "config file": (["plates-pair", "--config", str(path)],
+                            f"config file is JSON nested too deeply to read in {str(path)!r}"),
+        }[route]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_byte_identical_runs(self, tmp_path, capsys):
         argv = ["gaussian-sweep", "--var", "lambda", "--min", "0.5", "--max", "1.0",
@@ -731,6 +841,10 @@ for argv in json.loads(sys.argv[1]):
         assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
     assert "decimal" not in sys.modules, argv
+    assert "argparse" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["plates-pair", "--a=1.0"]) == 0
+assert "argparse" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["plates-pair", "--a", "1e105"]) == 0
 assert "decimal" in sys.modules
@@ -742,8 +856,9 @@ assert "numpy" in sys.modules
 
 def test_commands_without_arrays_do_not_import_numpy():
     # a fresh interpreter: this test process has imported numpy already.
-    # decimal, too, loads only once a value leaves the float range; the bare
-    # package loads neither, nor argparse or the CLI
+    # decimal, too, loads only once a value leaves the float range, and
+    # argparse only for argv the flag reader leaves to it; the bare package
+    # loads none of them, nor the CLI
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, json.dumps(_NO_ARRAYS)],

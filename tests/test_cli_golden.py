@@ -6,7 +6,9 @@ README's examples and its table of row fields are checked against CASES
 and COMMANDS, so they cannot drift from what the program runs.
 
 A new case is added to CASES and its files written by calling ``record``
-once, from a test run of the program whose output they are to pin.
+once, from a test run of the program whose output they are to pin.  The
+``--help`` texts of the program and of each command are pinned the same
+way, at 80 columns, by ``record_help``.
 """
 
 import json
@@ -69,6 +71,34 @@ def record(name, fmt, capsys):
     path_of(name, fmt).write_text(json.dumps(got, indent=2) + "\n", encoding="utf-8")
 
 
+HELP = {"sscasimir": [], **{name: [name] for name in COMMANDS}}
+
+
+def help_path(name):
+    return GOLDEN / f"help-{name}.json"
+
+
+def run_help(argv, capsys, monkeypatch):
+    # argparse wraps help to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(list(argv) + ["--help"])
+    out, err = capsys.readouterr()
+    return {"argv": list(argv) + ["--help"], "exit": done.value.code, "stderr": err, "stdout": out}
+
+
+def record_help(name, capsys, monkeypatch):
+    """Write the golden --help file of the program or one command."""
+    got = run_help(HELP[name], capsys, monkeypatch)
+    help_path(name).write_text(json.dumps(got, indent=2) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_matches_golden(name, capsys, monkeypatch):
+    want = json.loads(help_path(name).read_text(encoding="utf-8"))
+    assert run_help(HELP[name], capsys, monkeypatch) == want
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name, fmt, capsys):
@@ -119,7 +149,8 @@ def test_readme_csv_headers_are_the_command_headers():
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
-        path_of(name, fmt).name for name in CASES for fmt in FORMATS)
+        [path_of(name, fmt).name for name in CASES for fmt in FORMATS]
+        + [help_path(name).name for name in HELP])
 
 
 def test_top_level_help_lists_every_command(capsys):
