@@ -170,10 +170,10 @@ def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot be read from {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"is not valid JSON in {path!r}: {exc}") from None
+    except (OSError, ValueError) as exc:    # ValueError: a null byte in the path, or bytes not UTF-8
+        raise ValueError(f"cannot be read from {path!r}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{_TOO_DEEP} in {path!r}") from None
 

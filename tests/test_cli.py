@@ -490,6 +490,24 @@ class TestMain:
         assert main(["plates-pair", "--a", "1", "--out", "a\x00b"]) == 1
         assert capsys.readouterr() == ("", "error: cannot write 'a\\x00b': embedded null byte\n")
 
+    @pytest.mark.parametrize("route", ["config", "coeffs"])
+    @pytest.mark.parametrize("contents", [None, b'\xff{"a": 1}'])
+    def test_unreadable_json_file_is_named(self, tmp_path, capsys, route, contents):
+        # a null byte in the path, or a file that is not UTF-8, gave the bare
+        # ValueError text without the path
+        if contents is None:
+            path, reason = "a\x00b", "embedded null byte"
+        else:
+            path = str(tmp_path / "bad.json")
+            (tmp_path / "bad.json").write_bytes(contents)
+            reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        argv, prefix = {
+            "config": (["plates-pair", "--config", path], "config file"),
+            "coeffs": (["series-resum", "--coeffs", path, "--x", "2"], "parameter 'coeffs'"),
+        }[route]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {prefix} cannot be read from {path!r}: {reason}\n")
+
     @pytest.mark.parametrize("route", ["coeffs", "higher", "coeffs file", "config file"])
     def test_deeply_nested_json(self, tmp_path, capsys, route):
         # json's RecursionError escaped main; an inline value must not be

@@ -252,6 +252,33 @@ class TestParseval:
         assert phi2 <= 1e-10
         assert grad2 <= 1e-10
 
+    def test_all_zero_field(self):
+        for phi in (np.zeros(8), np.zeros((5, 4)), -np.zeros((3, 3))):
+            assert parseval_residuals(LatticeField(phi, spacing=0.5)) == (0.0, 0.0)
+
+    # each gave nan, let OverflowError or ZeroDivisionError out, or passed
+    # with both sums underflowed to 0
+    @pytest.mark.parametrize("scale, spacing, row, message", [
+        (1e160, 1.0, False, "phi^2 sum in real space = inf"),
+        (1.0, 1e-200, False, "cell volume h^d = 0.0"),
+        (1.0, 1e200, False, "cell volume h^d = inf"),
+        (1.0, 1e300, True, "phi^2 sum in mode space = inf"),
+        (1.0, 1e-160, False, "cell volume h^d = 1e-320"),
+        (1e-200, 1.0, False, "phi^2 sum in real space = 0.0"),
+    ])
+    def test_beyond_the_float_range(self, scale, spacing, row, message):
+        phi = np.random.default_rng(1).standard_normal((16, 16))
+        phi = phi[0] if row else phi * scale
+        with pytest.raises(ValueError, match="beyond the float range") as info:
+            parseval_residuals(LatticeField(phi, spacing=spacing))
+        assert message in str(info.value)
+
+    def test_constant_field_whose_zero_mode_underflows(self):
+        # a constant field's gradient sums may vanish; its phi^2 sums may not
+        lattice = LatticeField(np.full((5, 6), -2.5), spacing=1e-150)
+        with pytest.raises(ValueError, match="phi\\^2 sum in mode space = 0.0"):
+            parseval_residuals(lattice)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticeField(np.zeros((2, 2, 2)), spacing=1.0)
@@ -286,3 +313,65 @@ class TestHalfSpectrum:
         phi2, grad2 = parseval_residuals(LatticeField(phi, spacing=spacing))
         assert phi2 <= 1e-13
         assert grad2 <= 1e-13
+
+    @given(shape=LATTICE_SHAPES, seed=st.integers(0, 10 ** 6),
+           spacing=st.one_of(st.just(1.0), st.floats(0.05, 20.0)),
+           exponent=st.integers(-400, 400), fortran=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example(shape=(3, 2), seed=0, spacing=1.0, exponent=0, fortran=False)
+    @example(shape=(2, 3), seed=1, spacing=0.3, exponent=0, fortran=False)
+    @example(shape=(3, 3), seed=2, spacing=1.0, exponent=-400, fortran=True)
+    @example(shape=(2, 2), seed=3, spacing=7.0, exponent=400, fortran=False)
+    def test_same_bits_as_the_allocating_form(self, shape, seed, spacing, exponent, fortran):
+        phi = np.random.default_rng(seed).standard_normal(shape) * 2.0 ** exponent
+        if fortran:
+            phi = np.asfortranarray(phi)
+        lattice = LatticeField(phi, spacing=spacing)
+        before = lattice.values.tobytes()
+        assert _half_spectrum(phi).tobytes() == _allocating_half_spectrum(phi).tobytes()
+        got = parseval_residuals(lattice)
+        expected = _allocating_parseval_residuals(phi, spacing)
+        assert [r.hex() for r in got] == [r.hex() for r in expected]
+        assert lattice.values.tobytes() == before   # nothing writes into the field
+
+
+def _allocating_half_spectrum(phi):
+    """_half_spectrum as it was before it wrote into its own arrays."""
+    if phi.ndim == 1:
+        return np.fft.rfft(phi)
+    n0, n1 = phi.shape
+    half = n1 // 2 + 1
+    even = n0 - n0 % 2
+    packed = np.fft.fft(phi[0:even:2] + 1j * phi[1:even:2], axis=1)
+    kept = packed[:, :half]
+    mirror = packed[:, -np.arange(half)].conj()
+    rows = np.empty((n0, half), dtype=complex)
+    rows[0:even:2] = 0.5 * (kept + mirror)
+    rows[1:even:2] = -0.5j * (kept - mirror)
+    if n0 % 2:
+        rows[-1] = np.fft.rfft(phi[-1])
+    return np.fft.fft(rows, axis=0)
+
+
+def _allocating_parseval_residuals(phi, h):
+    """parseval_residuals as it was before it wrote into its own arrays."""
+    d = phi.ndim
+    cell = h ** d
+    volume = float(phi.size) * cell
+    modes = _allocating_half_spectrum(phi) * cell
+    power = modes.real ** 2 + modes.imag ** 2
+    power[..., 1 : (phi.shape[-1] + 1) // 2] *= 2.0
+    phi2_real = cell * float(np.sum(phi * phi))
+    phi2_mode = float(np.sum(power)) / volume
+    grad2_real = 0.0
+    grad2_mode = 0.0
+    for axis in range(d):
+        diff = (np.roll(phi, -1, axis=axis) - phi) / h
+        grad2_real += cell * float(np.sum(diff * diff))
+        marginal = power.sum(axis=tuple(a for a in range(d) if a != axis))
+        q = 2.0 * math.pi * np.fft.fftfreq(phi.shape[axis], d=h)[: marginal.size]
+        grad2_mode += float((2.0 / h * np.sin(q * h / 2.0)) ** 2 @ marginal)
+    grad2_mode /= volume
+    floor = 1e-30
+    return (abs(phi2_real - phi2_mode) / max(abs(phi2_real), floor),
+            abs(grad2_real - grad2_mode) / max(abs(grad2_real), floor))
