@@ -22,8 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .plates import _TINY, _power, _scaled
+from .plates import _power, _scaled
 from .quadrature import QuadratureConvergenceError, QuadratureResult, _compile_panel, integrate
+
+_TINY = 2.0 ** -1022      # smallest normal float
 
 # numpy is imported only where an array is made: the other layers and the
 # commands that do not use it start without its import time
@@ -464,9 +466,12 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     the integrand is plain and each step is a normal float.
     Elsewhere _scaled takes the product of factors, the integral and 2^k,
     the samples being _wide's, 2^-k times the integrand, where it is not
-    plain (k = 0 where it is).  A step that overflows or divides by an
-    underflowed kernel (ArithmeticError), or a value or error estimate
-    beyond the float range, raises ValueError naming that range.
+    plain (k = 0 where it is).  A shell that does not converge raises
+    QuadratureConvergenceError with its best estimate and error taken the
+    same way.  A sample that divides by a kernel rounded to 0 raises
+    ValueError saying so; a step that overflows (ArithmeticError), or a value
+    or error estimate beyond the float range, raises ValueError naming that
+    range.
     """
     lo, hi = shell.cutoff / shell.shell_factor, shell.cutoff
     checked = params.coefficients
@@ -494,7 +499,13 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
             f._gk_panel, k = panel(), 0
         else:
             f, k = _wide(coeffs, shell.dim, [a, *points, c])
-        raw = integrate(f, a, c, rel_tol=1e-10, breakpoints=points)
+        try:
+            raw = integrate(f, a, c, rel_tol=1e-10, breakpoints=points)
+        except QuadratureConvergenceError as failed:
+            raw = failed        # its best estimate is scaled as a value is
+        except ZeroDivisionError:
+            raise ValueError(f"kernel rounds to 0 in floats inside the shell [{lo!r}, {hi!r}], "
+                             "where it is positive") from None
         if plain and _TINY <= min(steps) and max(steps) < math.inf:
             size = steps[-1]
             value, err = -size * raw.value, size * raw.abs_error_estimate
@@ -508,6 +519,8 @@ def _shell_integral(params: LGParams, shell: ShellSpec, form) -> QuadratureResul
     except ArithmeticError:
         value = err = math.inf
     if max(abs(value), err) < math.inf:
+        if isinstance(raw, QuadratureConvergenceError):
+            raise QuadratureConvergenceError(value, err, raw.evaluations)
         return QuadratureResult(value, err, raw.evaluations)
     raise ValueError(f"value beyond the float range: shell energy in d = {shell.dim} "
                      f"over [{lo!r}, {hi!r}] at T = {shell.temperature!r}")

@@ -9,9 +9,14 @@ which turns the infinite pair sum into a one-line fixed point:
   * growing gaps (plates at x*a, x^2*a, ...): the nearest-neighbor pair sum
     converges to -pi^2 / (1440 a^3 (x-1)^3 (x^3-1)),
   * shrinking gaps (plates at a, a/x, a/x^2, ...): the pair sum diverges
-    with term ratio x^3 and its regularized value, obtained from the
-    geometric continuation in `series`, is positive (repulsive),
+    with term ratio x^3 and its regularized value, the continuation
+    a0/(1 - x^3) that `series.regularized_geometric_sum` assigns, is
+    positive (repulsive),
   * both stacks plus the bridging pair cancel exactly.
+
+Each closed form is one ratio of integers divided once: the correctly
+rounded value at its float inputs.  A truncated sum is the fsum of
+correctly rounded pair energies.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-from .series import regularized_geometric_sum
 
 __all__ = [
     "FieldKind",
@@ -40,6 +43,7 @@ __all__ = [
 ]
 
 _PI_SQ = math.pi * math.pi
+_PI_SQ_RATIO = _PI_SQ.as_integer_ratio()
 
 
 class FieldKind(enum.Enum):
@@ -109,9 +113,6 @@ def _power(base: float, k: float) -> float:
         return math.inf
 
 
-_TINY = 2.0 ** -1022      # smallest normal float
-
-
 @functools.cache
 def _wide_context(digits: int):
     """The decimal context of _scaled: digits significant digits, exponents to +-10^18."""
@@ -123,17 +124,15 @@ def _wide_context(digits: int):
 def _scaled(c: float, *powers: tuple[float, int]) -> float:
     """c * prod(base ** k) over powers, rounded once to a float.
 
-    The one float-range rule: a caller takes its plain float expression only
-    where each power, product and quotient in it is a normal float, and this
-    elsewhere.  Each base is a positive float, or inf or 0 standing for its
-    limit, and each k an integer.  The product is taken in the standard
-    library's decimal from the exact floats, each step rounded to 80 digits,
-    and float() rounds it once; where a tie between two floats lies within
+    Each base is a positive float, or inf or 0 standing for its limit, and
+    each k an integer.  The product is taken in the standard library's
+    decimal from the exact floats, each step rounded to 80 digits, and
+    float() rounds it once; where a tie between two floats lies within
     10^-76 of it (Ziv's rounding test), at 2000 digits, which hold c times a
     power of up to 1200 digits exactly.  A value below the float range is a
     zero with c's sign; one beyond it raises ValueError.  A partial product
-    beyond 10^(+-10^18) is taken as its limit, which is exact unless another
-    factor about as far out brings it back; no caller passes two such.
+    beyond 10^(+-10^18) is taken as its limit, exact unless another factor
+    about as far out brings it back; no caller passes two such.
     """
     if not c:
         return c
@@ -163,25 +162,37 @@ def _scaled(c: float, *powers: tuple[float, int]) -> float:
     raise ValueError(f"value beyond the float range: {c!r}{factors}")
 
 
-def _pair_energy(gap: float, scale: float = 1440.0, k: int = 3) -> float:
-    """Pair energy -pi^2/(scale gap^k) of a positive gap, inf allowed.
+def _pair_energy(gap: float, scale: int = 1440, k: int = 3, x: float | None = None,
+                 top: int = 0) -> float:
+    """-pi^2/(scale gap^k) of a gap > 0, or given a ratio x > 1 the stack
+    energy -pi^2 x^top / (1440 gap^3 (x-1)^3 (x^3-1)), top 0 or 3, rounded once.
 
-    The default scale gives the Dirichlet energy, and 720 exactly twice it;
-    scale 240 and k = 4 give the electromagnetic force.  A gap beyond the
-    float range (inf) gives the limit -0.0; one that underflows to 0 has an
-    energy beyond the range (ValueError).
+    One ratio of integers from the exact inputs and _PI_SQ: int / int rounds
+    it correctly, into the subnormals and to -0.0 below them.  A gap beyond
+    the float range (inf, or nan as inf - inf) gives the limit -0.0; a value
+    beyond it, a gap that underflowed to 0 included, raises ValueError.
     """
-    power = _power(gap, k)
-    if _TINY <= power and -math.inf < (energy := -_PI_SQ / (scale * power)) < 0.0:
-        return energy
-    return _scaled(-_PI_SQ, (scale, -1), (gap, -k))
+    if not gap < math.inf:
+        return -0.0
+    (pn, pd), (gn, gd) = _PI_SQ_RATIO, gap.as_integer_ratio()
+    numerator, denominator = pn * gd ** k, pd * scale * gn ** k
+    if x is not None:
+        xn, xd = x.as_integer_ratio()
+        n3, d3, dn = xn * xn * xn, xd * xd * xd, xn - xd
+        numerator *= (n3 if top else d3) * d3
+        denominator *= dn * dn * dn * (n3 - d3)
+    try:
+        return -numerator / denominator
+    except (OverflowError, ZeroDivisionError):
+        ratio = "" if x is None else f" and ratio {x!r}"
+        raise ValueError(f"value beyond the float range: energy at spacing {gap!r}{ratio}") from None
 
 
 def _contraction_pair_energy(a: float, x: float, k: int) -> float:
     """Pair energy of the k-th gap a (x - 1) / x^k (k >= 1) of a contraction stack.
 
-    From that gap as written wherever a (x - 1) and x^k are floats, so
-    those energies keep their bits; elsewhere from _scaled.
+    From that gap as written wherever a (x - 1) and x^k are floats; elsewhere
+    from _scaled, whose work grows with log k, not as x^(3k)'s O(k) bits.
     """
     scaled = a * (x - 1.0)
     if scaled != math.inf and (xk := _power(x, k)) != math.inf:
@@ -198,7 +209,7 @@ def pair_interaction_energy(a: float, kind: FieldKind = FieldKind.DIRICHLET_SCAL
     beyond the float range raises ValueError.
     """
     _check_spacing(a)
-    value = _pair_energy(a, 720.0 if kind is FieldKind.ELECTROMAGNETIC else 1440.0)
+    value = _pair_energy(a, 720 if kind is FieldKind.ELECTROMAGNETIC else 1440)
     return EnergyDensity(value, regularized=False)
 
 
@@ -208,7 +219,7 @@ def force_per_area(a: float) -> float:
     Equals -d/da of the electromagnetic pair energy; negative = attraction.
     """
     _check_spacing(a)
-    return _pair_energy(a, 240.0, 4)
+    return _pair_energy(a, 240, 4)
 
 
 def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
@@ -219,27 +230,18 @@ def inflation_stack_energy(a: float, x: float) -> EnergyDensity:
     """
     _check_spacing(a)
     _check_ratio(x)
-    a3, gap3, cube = _power(a, 3), _power(x - 1.0, 3), _power(x, 3)
-    partial = 1440.0 * a3 * gap3
-    denominator = partial * (cube - 1.0)
-    if not (_TINY <= min(a3, gap3, partial, denominator)
-            and -math.inf < (value := -_PI_SQ / denominator) < 0.0):
-        # x^3 - 1 rounds to x^3 wherever x^3 overflows
-        last = (cube - 1.0, -1) if cube < math.inf else (x, -3)
-        value = _scaled(-_PI_SQ, (1440.0, -1), (a, -3), (x - 1.0, -3), last)
-    return EnergyDensity(value, regularized=False)
+    return EnergyDensity(_pair_energy(a, x=x), regularized=False)
 
 
 def contraction_stack_energy(a: float, x: float) -> EnergyDensity:
     """Energy of the infinite stack with shrinking gaps (plates at a, a/x, ...).
 
     The pair sum diverges geometrically with ratio x^3; its value is the
-    regularized continuation of that sum, positive for every x > 1.
+    regularized continuation of that sum, -x^3 times the inflation energy.
     """
     _check_spacing(a)
     _check_ratio(x)
-    value = regularized_geometric_sum(_contraction_pair_energy(a, x, 1), _power(x, 3))
-    return EnergyDensity(value, regularized=True)
+    return EnergyDensity(-_pair_energy(a, x=x, top=3), regularized=True)
 
 
 def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
@@ -247,8 +249,8 @@ def truncated_stack_energy(config: StackConfig) -> EnergyDensity:
 
     Converges to the inflation closed form as N grows; for contraction the
     partial sums diverge (each increment x^3 times the last) and the finite
-    value is returned as-is, which is exactly the sequence handed to the
-    regularizer.  Inflation gaps grow, so the sum stops at its first -0.0
+    value is returned as-is: the sequence whose continuation the contraction
+    closed form is.  Inflation gaps grow, so the sum stops at its first -0.0
     term, after which every term is -0.0; contraction sums every term, since
     its first terms can be the zeros.
     """
@@ -296,20 +298,16 @@ def functional_equation_residual(a: float, x: float, direction: StackDirection) 
     if direction is StackDirection.INFLATION:
         energy = inflation_stack_energy(a, x).value
         scaled_copy = energy / _power(x, 3)
-        gap = x * x * a - x * a
-        if 0.0 < gap < math.inf:
-            bridge = pair_interaction_energy(gap).value
-        else:   # the gap a x (x - 1) is beyond the float range
-            bridge = _scaled(-_PI_SQ, (1440.0, -1), (a, -3), (x, -3), (x - 1.0, -3))
+        bridge = _pair_energy(x * x * a - x * a)
     elif direction is StackDirection.CONTRACTION:
         energy = contraction_stack_energy(a, x).value
         scaled_copy = energy * _power(x, 3)
-        bridge = pair_interaction_energy(a - a / x).value
+        bridge = _pair_energy(a - a / x)
     else:
         raise ValueError("residual is defined for inflation or contraction stacks")
     residual = energy - (scaled_copy + bridge)
-    if math.isnan(residual):    # 0 * inf: x^3 is beyond the float range
-        raise ValueError(f"residual beyond the float range: x^3 overflows for x = {x!r}")
+    if not math.isfinite(residual):     # E x^3 is beyond the float range
+        raise ValueError(f"residual beyond the float range: E x^3 overflows for x = {x!r}")
     return residual
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -655,6 +656,15 @@ class TestMain:
         assert main(["plates-stack", "--a", "1e308", "--x", "10"] + argv) == 0
         assert json.loads(capsys.readouterr().out)[0]["value"] == value
 
+    def test_contraction_whose_cube_overflows(self, capsys):
+        # x^3 overflowed and a0 / (1 - inf) printed 0.0, so the combined stack
+        # printed the bridge, -6.85e-12, where it cancels
+        argv = ["plates-stack", "--a", "1e-100", "--x", "1e103", "--direction"]
+        assert main(argv + ["contraction"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["value"] == 6.853891945200942e-12
+        assert main(argv + ["combined"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)[0]["value"]) <= 1e-15 * 6.853891945200942e-12
+
     @pytest.mark.parametrize("a", ["1e103", "1e200"])
     def test_truncated_stack_beyond_the_cube_range(self, a, capsys):
         # gaps 2a and 4a: at 1e103 the energies are subnormal floats (the
@@ -737,6 +747,32 @@ class TestMain:
         assert main(argv) == 2
         (record,) = json.loads(capsys.readouterr().out)
         assert "value" not in record and "non-positive" in record["error"]
+
+    def test_kernel_that_rounds_to_zero_names_it(self, capsys):
+        # (u - 1)^2 (u + 0.2)^2 + 1e-16 in u = q^2 is proven positive on the
+        # shell, but a plain sample's float g is 0: this printed "value
+        # beyond the float range"
+        argv = ["gaussian-energy", "--d", "3", "--lambda", "2", "--b", "4", "--T", "1",
+                "--t", "0.0400000000000001", "--K", "0.32", "--L", "0.24", "--higher", "[-1.6, 1]"]
+        assert main(argv) == 2
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["error"] == ("kernel rounds to 0 in floats inside the shell [0.5, 2.0], "
+                                   "where it is positive")
+
+    def test_shell_that_does_not_converge_quotes_its_energy(self, capsys):
+        # the same kernel with + 1e-8: the integral is 13089.858612458503 (40
+        # digits, partial fractions) and the energy -1/(4 pi^2) times it; the
+        # best estimate quoted was the integral's
+        argv = ["gaussian-energy", "--d", "3", "--lambda", "2", "--b", "4", "--T", "1",
+                "--t", "0.04000001", "--K", "0.32", "--L", "0.24", "--higher", "[-1.6, 1]"]
+        assert main(argv) == 2
+        (record,) = json.loads(capsys.readouterr().out)
+        match = re.fullmatch(r"quadrature did not converge within \d+ evaluations "
+                             r"\(best estimate (\S+) \+/- (\S+)\)", record["error"])
+        assert match, record["error"]
+        energy = -13089.858612458503 / (4 * math.pi ** 2)
+        assert float(match[1]) == pytest.approx(energy, rel=1e-8)
+        assert float(match[2]) == pytest.approx(6.704e-06 / (4 * math.pi ** 2), rel=1e-3)
 
     def test_overflowing_integrand_is_an_error_row(self, capsys):
         # g = t = 1e-320 is subnormal and q^2 / g overflows: the samples are
@@ -839,6 +875,24 @@ class TestMain:
         assert record["value"] == pytest.approx(1.0 / (1.0 + 9.9e-05), rel=1e-8)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plates-stack", "--a", "1", "--x", "2", "--direction", "combined", "--truncate", "10"],
+     "parameter 'truncate' is not defined for the combined stack"),
+    (["plates-pair", "--a", "inf"], "parameter 'a' must be finite, got 'inf'"),
+    (["series-resum", "--coeffs", "[]", "--x", "0.5"], "parameter 'coeffs' must hold at least one coefficient"),
+    (["plates-pair", "--config", "{config}"], "config file {config!r} must hold a JSON object"),
+    (["lattice-check", "--d", "1", "--sites", "2.5"], "parameter 'sites' must be an integer, got '2.5'"),
+    (["gaussian-energy", "--d", "3", "--lambda", "1", "--b", "2", "--T", "1", "--t", "1", "--K", "1",
+      "--higher", "abc"], "parameter 'higher' must be a JSON array, got 'abc'"),
+])
+def test_validators_name_the_rejected_input(argv, message, tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1]")
+    assert main([arg.format(config=str(config)) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message.format(config=str(config))}\n"
+
+
 _NO_ARRAYS = [
     ["plates-pair", "--a", "1.0"],
     ["series-resum", "--coeffs", "[1,1,1,1,1]", "--x", "2"],
@@ -864,7 +918,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["plates-pair", "--a=1.0"]) == 0
 assert "argparse" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["plates-pair", "--a", "1e105"]) == 0
+    # x^2 is beyond the float range: the second pair energy is _scaled's
+    assert main(["plates-stack", "--a", "1e100", "--x", "1e200", "--direction", "contraction",
+                 "--truncate", "3"]) == 0
 assert "decimal" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["lattice-check", "--d", "2", "--sites", "8", "--seed", "7"]) == 0

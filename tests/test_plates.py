@@ -22,7 +22,6 @@ from sscasimir.plates import (
 )
 from sscasimir import plates
 from sscasimir.plates import _pair_energy, _power, _scaled
-from sscasimir.series import regularized_geometric_sum
 
 PI_SQ = math.pi ** 2
 
@@ -315,30 +314,36 @@ class TestHomogeneity:
         assert abs(scaled - expected) <= 1e-13 * abs(expected)
 
 
-MAX_FLOAT = Fraction(sys.float_info.max)
 POWERS_OF_TEN = st.floats(-110.0, 110.0).map(lambda e: 10.0 ** e)
 # the ends of the float range, 1 + ulp, and bases whose products with a
 # float are often exact ties between two floats
 SCALED_EDGES = (5e-324, 2.0 ** -1022, sys.float_info.max, 1.0 + 2.0 ** -52, 1e308, 1.5, 0.75, 3.0)
 SCALED_BASES = (st.floats(min_value=5e-324, max_value=sys.float_info.max)
                 | st.sampled_from(SCALED_EDGES + (0.0, math.inf)))
+POSITIVE = (st.floats(min_value=5e-324, max_value=sys.float_info.max)
+            | st.sampled_from((5e-324, 2.0 ** -1022, 1.0, 1e-100, 1e103, sys.float_info.max)))
+ABOVE_ONE = (st.floats(min_value=1.0, max_value=sys.float_info.max, exclude_min=True)
+             | st.sampled_from((1.0 + 2.0 ** -52, 1.000001, 5.6e102, 1e103, sys.float_info.max)))
 
 
 def check_against_exact(compute, exact):
-    """compute() rounds exact to 1e-15 relative, or to a zero with exact's
-    sign below the float range, and raises ValueError beyond that range."""
-    if abs(exact) > MAX_FLOAT * (1 + Fraction(1, 10 ** 15)):
+    """compute() is float(exact): int / int rounds once, correctly, into the
+    subnormals and to a zero of exact's sign below them; beyond the float
+    range compute() raises ValueError naming it."""
+    try:
+        expected = float(exact)
+    except OverflowError:
         with pytest.raises(ValueError, match="float range"):
             compute()
-    elif abs(exact) < MAX_FLOAT * (1 - Fraction(1, 10 ** 15)):
-        got = compute()
-        assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact) + 2.0 ** -1074
-        assert math.copysign(1.0, got) == (1.0 if exact > 0 else -1.0)
+        return
+    got = compute()
+    assert got == expected
+    assert math.copysign(1.0, got) == (1.0 if exact > 0 else -1.0)
 
 
 class TestExactRationals:
-    """Energies across the float range against exact Fraction values; x >= 2
-    keeps away from x = 1, where x^3 - 1 loses digits on the normal path."""
+    """Energies across the float range against exact Fraction values of
+    their float inputs and the float pi^2."""
 
     @settings(max_examples=300, deadline=None)
     @given(a=POWERS_OF_TEN)
@@ -363,6 +368,22 @@ class TestExactRationals:
         exact = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3 * (Fraction(x) - 1) ** 3
                                     * (Fraction(x) ** 3 - 1))
         check_against_exact(lambda: inflation_stack_energy(a, x).value, exact)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=POSITIVE, x=ABOVE_ONE)
+    @example(a=1.0, x=1.0 + 2.0 ** -52)     # (x - 1)^3 (x^3 - 1) is about 2^-154
+    @example(a=0.7, x=1.000001)             # x^3 - 1 from a rounded x^3 lost digits
+    @example(a=1e-100, x=1e103)             # x^3 overflows, the contraction energy does not
+    @example(a=1.0, x=5.6e102)              # x^3 is beyond the float range from here on
+    @example(a=5e-324, x=sys.float_info.max)
+    def test_closed_forms_over_the_float_range(self, a, x):
+        pair = -Fraction(PI_SQ) / (1440 * Fraction(a) ** 3)
+        stack = pair / ((Fraction(x) - 1) ** 3 * (Fraction(x) ** 3 - 1))
+        check_against_exact(lambda: pair_interaction_energy(a).value, pair)
+        check_against_exact(lambda: pair_interaction_energy(a, FieldKind.ELECTROMAGNETIC).value, 2 * pair)
+        check_against_exact(lambda: force_per_area(a), pair * 6 / Fraction(a))
+        check_against_exact(lambda: inflation_stack_energy(a, x).value, stack)
+        check_against_exact(lambda: contraction_stack_energy(a, x).value, -Fraction(x) ** 3 * stack)
 
 
 class TestSigns:
@@ -475,7 +496,10 @@ class TestFloatRange:
             force_per_area(1e-78)
 
     def test_contraction_with_huge_ratio_is_its_limit(self):
-        assert contraction_stack_energy(1.0, 1e103).value == 0.0
+        # pi^2 x^3 / (1440 (x-1)^3 (x^3-1)) is about pi^2 / (1440 x^3), a
+        # subnormal; x^3 overflows, and a0 / (1 - inf) gave 0.0
+        assert contraction_stack_energy(1.0, 1e103).value == 6.8538919452e-312
+        assert contraction_stack_energy(1e-100, 1e103).value == 6.853891945200942e-12
 
     def test_pair_energy_beyond_float_range_raises_value_error(self):
         with pytest.raises(ValueError, match="float range"):
@@ -587,17 +611,20 @@ class TestFloatRange:
                         assert truncated_stack_energy(config).value == expected
 
     def test_normal_path_is_bit_identical(self):
+        # each closed form is float() of its exact Fraction, and the combined
+        # stack the float sum of the two stacks and the bridging pair
+        pi_sq = Fraction(PI_SQ)
         for a in GRID_A:
-            assert pair_interaction_energy(a).value == -PI_SQ / (1440.0 * a ** 3)
-            assert force_per_area(a) == -PI_SQ / (240.0 * a ** 4)
+            exact_pair = -pi_sq / (1440 * Fraction(a) ** 3)
+            assert pair_interaction_energy(a).value == float(exact_pair)
+            assert force_per_area(a) == float(-pi_sq / (240 * Fraction(a) ** 4))
             for x in GRID_X:
-                expected = -PI_SQ / (1440.0 * a ** 3 * (x - 1.0) ** 3 * (x ** 3 - 1.0))
-                assert inflation_stack_energy(a, x).value == expected
-                first_pair = pair_interaction_energy(a * (x - 1.0) / x).value
-                contraction = regularized_geometric_sum(first_pair, x ** 3)
+                stack = exact_pair / ((Fraction(x) - 1) ** 3 * (Fraction(x) ** 3 - 1))
+                inflation, contraction = float(stack), float(-Fraction(x) ** 3 * stack)
+                assert inflation_stack_energy(a, x).value == inflation
                 assert contraction_stack_energy(a, x).value == contraction
-                bridge = pair_interaction_energy((x - 1.0) * a).value
-                assert combined_stack_energy(a, x).value == contraction + expected + bridge
+                bridge = float(-pi_sq / (1440 * Fraction((x - 1.0) * a) ** 3))
+                assert combined_stack_energy(a, x).value == contraction + inflation + bridge
 
 
 def full_inflation_sum(a, x, n_plates):
@@ -635,16 +662,16 @@ class TestInflationEarlyStop:
 
     def test_scaled_calls_stop_at_the_first_zero(self, monkeypatch):
         # the energies of k = 169..177 are subnormal and those from k = 178 on
-        # are -0.0: without the early stop all 231 terms from k = 169 reach
-        # _scaled
+        # are -0.0: the sum evaluates the terms up to that first zero, not
+        # all 399
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return _scaled(*args)
+            return _pair_energy(*args, **kwargs)
 
-        monkeypatch.setattr(plates, "_scaled", counted)
+        monkeypatch.setattr(plates, "_pair_energy", counted)
         config = StackConfig(1.0, 4.0, StackDirection.INFLATION, truncation=400)
         value = truncated_stack_energy(config).value
         assert value == pytest.approx(truncated_closed_form(1.0, 4.0, 400), rel=1e-12)
-        assert 0 < len(calls) <= 12
+        assert len(calls) == 178
